@@ -1,20 +1,78 @@
 """Extension fields F_{p^D} = F_p[X]/(g) for D in {1, 2, 3}, plus an
 on-demand quadratic tower F_{p^(2D)} = F_{p^D}[Y]/(Y^2 - ns) that adjoins
-square roots of non-residues.  Subfield membership goes through the
-Frobenius map a -> a^p, whose fixed field is F_p.
+square roots of non-residues.
+
+Multiplication is straight-line code per degree, with the reduction
+constants of g computed once per field.  The Frobenius map a -> a^p, whose
+fixed field is F_p, is a D x D matrix over F_p built once from X^p.  The
+norm N(a), the product of a's conjugates, is an element of F_p and drives
+two things: inversion (a^-1 = conjugate product / N(a), after Itoh-Tsujii)
+and residuosity (a is a square iff N(a) is a square in F_p, one Legendre
+symbol).  Square roots in a quadratic extension reduce to square roots in
+the field below (Adj and Rodriguez-Henriquez, IEEE TC 2014).
 """
 
 import random
+from operator import mul as _imul
 
 from .primefield import (
     PrimeField,
     FpElem,
     cubic_roots_fp,
+    fp_sqrt,
     legendre,
-    tonelli_shanks,
-    _pmul,
-    _pmod,
+    tonelli_shanks,  # no longer called here; perfbench/tracing.py wraps this name
 )
+
+# random draws choose_nonresidue makes after its deterministic scan; each
+# draw is a non-residue with probability 1/2, so running out means the
+# modulus is not prime
+NONRESIDUE_DRAWS = 256
+
+
+def _mul_fn(p, modulus):
+    """Product of two coefficient tuples modulo the monic ``modulus``."""
+    d = len(modulus) - 1
+    if d == 1:
+        def mul(a, b):
+            return (a[0] * b[0] % p,)
+    elif d == 2:
+        # X^2 = m0 + m1 X
+        m0, m1 = (-c % p for c in modulus[:2])
+
+        def mul(a, b):
+            a0, a1 = a
+            b0, b1 = b
+            t = a1 * b1
+            return ((a0 * b0 + m0 * t) % p, (a0 * b1 + a1 * b0 + m1 * t) % p)
+    else:
+        # X^3 = m0 + m1 X + m2 X^2 and X^4 = n0 + n1 X + n2 X^2
+        m0, m1, m2 = (-c % p for c in modulus[:3])
+        n0, n1, n2 = m2 * m0 % p, (m0 + m2 * m1) % p, (m1 + m2 * m2) % p
+
+        def mul(a, b):
+            a0, a1, a2 = a
+            b0, b1, b2 = b
+            t3 = (a1 * b2 + a2 * b1) % p
+            t4 = a2 * b2 % p
+            return (
+                (a0 * b0 + m0 * t3 + n0 * t4) % p,
+                (a0 * b1 + a1 * b0 + m1 * t3 + n1 * t4) % p,
+                (a0 * b2 + a1 * b1 + a2 * b0 + m2 * t3 + n2 * t4) % p,
+            )
+    return mul
+
+
+def _pow_coeffs(mul, one, base, e):
+    """base^e for e >= 0 by square-and-multiply on coefficient tuples."""
+    result = one
+    while e:
+        if e & 1:
+            result = mul(result, base)
+        e >>= 1
+        if e:
+            base = mul(base, base)
+    return result
 
 
 class ExtField:
@@ -25,7 +83,9 @@ class ExtField:
     construction.
     """
 
-    __slots__ = ("base", "p", "degree", "modulus", "_tower", "_nonresidue")
+    __slots__ = (
+        "base", "p", "degree", "modulus", "_tower", "_nonresidue", "_mul", "_one", "_frob_cols"
+    )
 
     def __init__(self, base, modulus):
         if isinstance(base, int):
@@ -42,6 +102,31 @@ class ExtField:
         self._check_irreducible()
         self._tower = None
         self._nonresidue = None
+        self._mul = _mul_fn(self.p, self.modulus)
+        self._one = (1,) + (0,) * (self.degree - 1)
+        # row i of the Frobenius matrix is X^(i*p); stored by columns
+        rows = [self._one]
+        if self.degree > 1:
+            xp = _pow_coeffs(self._mul, self._one, (0, 1) + (0,) * (self.degree - 2), self.p)
+            while len(rows) < self.degree:
+                rows.append(self._mul(rows[-1], xp))
+        self._frob_cols = tuple(zip(*rows))
+
+    def _frobenius(self, c):
+        p = self.p
+        return tuple(sum(map(_imul, c, col)) % p for col in self._frob_cols)
+
+    def _conj_norm(self, c):
+        """(conjugate product, norm) of the coefficient tuple c.
+
+        The conjugate product is c^p * c^(p^2) * ... * c^(p^(D-1)); times c
+        it gives the norm, an element of F_p returned as an int.
+        """
+        conj, s = self._one, c
+        for _ in range(self.degree - 1):
+            s = self._frobenius(s)
+            conj = self._mul(conj, s)
+        return conj, self._mul(c, conj)[0]
 
     def _check_irreducible(self):
         d = self.degree
@@ -128,7 +213,7 @@ class ExtElem:
 
     def _coerce(self, other):
         if isinstance(other, ExtElem):
-            if other.field != self.field:
+            if other.field is not self.field and other.field != self.field:
                 raise ValueError("mixed extension fields")
             return other
         if isinstance(other, (int, FpElem)):
@@ -163,13 +248,12 @@ class ExtElem:
         return -self + other
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        p = self.field.p
-        prod = _pmod(_pmul(list(self.coeffs), list(other.coeffs), p), list(self.field.modulus), p)
-        prod += [0] * (self.field.degree - len(prod))
-        return ExtElem(self.field, tuple(prod))
+        field = self.field
+        if other.__class__ is not ExtElem or other.field is not field:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        return ExtElem(field, field._mul(self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
 
@@ -187,19 +271,18 @@ class ExtElem:
             return NotImplemented
         if e < 0:
             return self.inverse() ** (-e)
-        result = self.field.one()
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        field = self.field
+        return ExtElem(field, _pow_coeffs(field._mul, field._one, self.coeffs, e))
 
     def inverse(self):
-        if not self:
+        # a^-1 = (conjugate product) / N(a)
+        field = self.field
+        conj, norm = field._conj_norm(self.coeffs)
+        if not norm:
             raise ZeroDivisionError("inverse of zero in an extension field")
-        return self ** (self.field.order - 2)
+        p = field.p
+        norm_inv = pow(norm, -1, p)
+        return ExtElem(field, tuple(c * norm_inv % p for c in conj))
 
     def __eq__(self, other):
         try:
@@ -289,7 +372,7 @@ class TowerElem:
 
     def _coerce(self, other):
         if isinstance(other, TowerElem):
-            if other.field != self.field:
+            if other.field is not self.field and other.field != self.field:
                 raise ValueError("mixed towers")
             return other
         if isinstance(other, (int, FpElem, ExtElem)):
@@ -389,8 +472,16 @@ def _canon_key(a):
 
 
 def frobenius(a):
-    """The map a -> a^p; applied D times (2D in the tower) it is the identity."""
-    return a ** a.field.p
+    """The map a -> a^p; applied D times (2D in the tower) it is the identity.
+
+    On F_{p^D} this is the precomputed Frobenius matrix.  In the tower,
+    (u + vY)^p = u^p + v^p * ns^((p-1)/2) * Y.
+    """
+    field = a.field
+    if isinstance(a, TowerElem):
+        twist = field.ns ** ((field.p - 1) // 2)
+        return TowerElem(field, frobenius(a.u), frobenius(a.v) * twist)
+    return ExtElem(field, field._frobenius(a.coeffs))
 
 
 def in_base_field(a):
@@ -411,65 +502,120 @@ def project_to_fp(a):
     return a.field.base(a.coeffs[0])
 
 
+def _norm(a):
+    """N(a), the product of a's conjugates over F_p, as an FpElem."""
+    if isinstance(a, TowerElem):
+        # N_{F_{p^2D}/F_p}(u + vY) = N_{F_{p^D}/F_p}(u^2 - ns v^2)
+        a = a.u * a.u - a.v * a.v * a.field.ns
+    field = a.field
+    return field.base(field._conj_norm(a.coeffs)[1])
+
+
+def _is_square(a):
+    """Whether a is a square in its own field: iff N(a) is one in F_p."""
+    return legendre(_norm(a)) != -1
+
+
 def choose_nonresidue(field, seed=0):
     """First quadratic non-residue of the field under a deterministic scan.
 
     Constants 2, 3, ... are tried first, then low-degree polynomials; a
-    seeded random search takes over only if the capped scan runs dry.
+    seeded random search of at most NONRESIDUE_DRAWS draws takes over only
+    if the capped scan runs dry.  Each candidate costs one Legendre symbol
+    of its norm.  In even degree (D = 2 and every tower) the norm of a
+    constant c is c^degree, a square, so the constants are skipped there:
+    the scan still returns the element the full scan would.
     """
-    q = field.order
-    one = field.one()
-
-    def is_nonresidue(a):
-        return bool(a) and a ** ((q - 1) // 2) != one
-
-    for c in range(2, min(field.p, 258)):
-        a = field(c)
-        if is_nonresidue(a):
-            return a
+    tower = isinstance(field, TowerField)
+    degree = 2 * field.ext.degree if tower else field.degree
+    if degree % 2:
+        for c in range(2, min(field.p, 258)):
+            a = field(c)
+            if not _is_square(a):
+                return a
     # linear (and for towers Y-linear) candidates with small coefficients
-    if isinstance(field, TowerField):
-        small = [field((c, 1)) for c in range(0, min(field.p, 258))]
+    if tower:
+        small = (field((c, 1)) for c in range(0, min(field.p, 258)))
     elif field.degree >= 2:
-        small = [field([c, 1]) for c in range(0, min(field.p, 258))]
+        small = (field([c, 1]) for c in range(0, min(field.p, 258)))
     else:
-        small = []
+        small = ()
     for a in small:
-        if is_nonresidue(a):
+        if not _is_square(a):
             return a
     rng = random.Random(seed)
-    while True:
-        if isinstance(field, TowerField):
+    for _ in range(NONRESIDUE_DRAWS):
+        if tower:
             a = field((rng.randrange(field.p), rng.randrange(field.p)))
         else:
             a = field([rng.randrange(field.p) for _ in range(field.degree)])
-        if is_nonresidue(a):
+        if not _is_square(a):
             return a
+    raise ArithmeticError(
+        f"no quadratic non-residue in {NONRESIDUE_DRAWS} random draws; is the modulus prime?"
+    )
+
+
+def _quadratic_root(u, v, ns, sqrt):
+    """(x, y) with (x + y*t)^2 = u + v*t, where t^2 = ns.
+
+    u + v*t must be a square of the quadratic extension and ns a
+    non-residue of the field below, whose square-root function ``sqrt``
+    returns None on non-squares.  Costs two or three such roots and one
+    inverse: with n = sqrt(u^2 - ns v^2), exactly one of (u +- n)/2 is x^2,
+    and y = v / 2x.
+    """
+    if not v:
+        x = sqrt(u)
+        if x is not None:
+            return x, v
+        return v, sqrt(u / ns)
+    n = sqrt(u * u - v * v * ns)
+    x = sqrt((u + n) / 2)
+    if x is None:
+        x = sqrt((u - n) / 2)
+    return x, v / (2 * x)
 
 
 def ext_sqrt(a):
     """Canonical square root in the element's own field, or None.
 
-    Works for ExtElem and TowerElem alike.  For field order q = 3 mod 4 a
-    single exponentiation a^((q+1)/4) is tried and verified by squaring;
-    otherwise the Euler criterion gates a Tonelli-Shanks run.  The
-    canonical root is the lexicographically smaller of r and -r on
+    Works for ExtElem and TowerElem alike.  The norm gate comes first: a is
+    a square iff N(a) is a square in F_p, one Legendre symbol.  No route
+    runs Tonelli-Shanks above F_p:
+
+    * D = 1 is F_p itself (``fp_sqrt``).
+    * Quadratic extensions take their root from the field below, with two
+      or three roots and one inverse there: the tower u + vY over F_{p^D},
+      and F_{p^2} written as F_p(t), where t = 2X + b squares to the
+      discriminant b^2 - 4c of X^2 + bX + c.
+    * D = 3 takes sqrt(N(a)) in F_p and divides it by (a^((p+1)/2))^p.
+
+    The canonical root is the lexicographically smaller of r and -r on
     coefficient vectors.
     """
     if not a:
         return a
     field = a.field
-    q = field.order
-    if q % 4 == 3:
-        r = a ** ((q + 1) // 4)
-        if r * r != a:
-            return None
+    if isinstance(a, ExtElem) and field.degree == 1:
+        # N(a) = a: fp_sqrt's own Legendre gate is the norm gate
+        r = fp_sqrt(field.base(a.coeffs[0]))
+        return None if r is None else field(r.value)
+    if not _is_square(a):
+        return None
+    if isinstance(a, TowerElem):
+        r = TowerElem(field, *_quadratic_root(a.u, a.v, field.ns, ext_sqrt))
+    elif field.degree == 2:
+        fp, (c, b, _) = field.base, field.modulus
+        v = fp(a.coeffs[1]) / 2
+        x, y = _quadratic_root(fp(a.coeffs[0]) - v * b, v, fp(b * b - 4 * c), fp_sqrt)
+        r = field([(x + y * b).value, (2 * y).value])
     else:
-        if a ** ((q - 1) // 2) != field.one():
-            return None
-        r = tonelli_shanks(a, q, field.nonresidue())
-        if r * r != a:
-            raise ArithmeticError("square root postcondition failed")
+        # m = 1 + p + p^2 is odd and a^m = N(a), so a = N(a) / (a^k)^2 with
+        # k = (m - 1)/2 = p(p + 1)/2, and a^k is the Frobenius of a^((p+1)/2)
+        r = field(fp_sqrt(_norm(a)).value) / frobenius(a ** ((field.p + 1) // 2))
+    if r * r != a:
+        raise ArithmeticError("square root postcondition failed")
     return r if _canon_key(r) <= _canon_key(-r) else -r
 
 

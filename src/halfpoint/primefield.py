@@ -148,16 +148,20 @@ def first_nonresidue(field):
 def tonelli_shanks(a, q, nonresidue):
     """Square root of a in a field of odd order q, for a a nonzero residue.
 
-    Works on any element type supporting *, ** and ==, so the extension
-    fields reuse it.  ``nonresidue`` must be a quadratic non-residue of the
-    same field.
+    Works on any element type supporting *, ** and ==, extension-field
+    elements included.  ``nonresidue`` must be a quadratic non-residue of
+    the same field.  Raises ValueError when a is not a residue (b = a^s
+    then takes e squarings to reach 1, a residue's b fewer) and when the
+    squarings never reach 1, as modulo a composite.
     """
     s, e = q - 1, 0
     while s % 2 == 0:
         s //= 2
         e += 1
-    x = a ** ((s + 1) // 2)
-    b = a ** s
+    # one exponentiation: x = a^((s+1)/2), b = a^s
+    w = a ** ((s - 1) // 2)
+    x = a * w
+    b = x * w
     c = nonresidue ** s
     one = a ** 0
     while b != one:
@@ -165,6 +169,8 @@ def tonelli_shanks(a, q, nonresidue):
         while t != one:
             t = t * t
             m += 1
+            if m == e:
+                raise ValueError("tonelli_shanks: input is not a quadratic residue")
         f = c ** (1 << (e - m - 1))
         x = x * f
         c = f * f

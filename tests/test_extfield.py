@@ -1,12 +1,16 @@
 import itertools
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from halfpoint import extfield
 from halfpoint.extfield import (
+    NONRESIDUE_DRAWS,
+    ExtElem,
     ExtField,
     TowerElem,
+    TowerField,
     choose_nonresidue,
     ext_sqrt,
     frobenius,
@@ -14,7 +18,7 @@ from halfpoint.extfield import (
     project_to_fp,
     sqrt_in_tower,
 )
-from halfpoint.primefield import PrimeField, legendre
+from halfpoint.primefield import PrimeField, _pmod, _pmul, legendre, tonelli_shanks
 
 F7 = PrimeField(7)
 F11 = PrimeField(11)
@@ -172,3 +176,162 @@ def test_degree_one_wrapper_roundtrip():
     assert project_to_fp(a) == F11(7)
     assert in_base_field(a)
     assert ext_sqrt(K1(3)) is not None  # 3 = 5^2 mod 11
+
+
+# -- the generic formulas the fast paths replaced, kept as their reference ----
+
+
+def _ref_mul(a, b):
+    # schoolbook product, then the remainder by the modulus, on lists
+    field = a.field
+    p, d = field.p, field.degree
+    prod = _pmod(_pmul(list(a.coeffs), list(b.coeffs), p), list(field.modulus), p)
+    return ExtElem(field, tuple(prod + [0] * (d - len(prod))))
+
+
+def _ref_pow(a, e):
+    result, base = a.field.one(), a
+    while e:
+        if e & 1:
+            result = _ref_mul(result, base)
+        base = _ref_mul(base, base)
+        e >>= 1
+    return result
+
+
+def _euler_choose_nonresidue(field):
+    # the full scan, constants included in every degree, with Euler's
+    # criterion a^((q-1)/2) per candidate
+    q, one = field.order, field.one()
+
+    def is_nonresidue(a):
+        return bool(a) and a ** ((q - 1) // 2) != one
+
+    for c in range(2, min(field.p, 258)):
+        if is_nonresidue(field(c)):
+            return field(c)
+    if isinstance(field, TowerField):
+        small = [field((c, 1)) for c in range(0, min(field.p, 258))]
+    elif field.degree >= 2:
+        small = [field([c, 1]) for c in range(0, min(field.p, 258))]
+    else:
+        small = []
+    return next(a for a in small if is_nonresidue(a))
+
+
+def _canonical(r):
+    key = (lambda x: x.u.coeffs + x.v.coeffs) if isinstance(r, TowerElem) else (lambda x: x.coeffs)
+    return min(r, -r, key=key)
+
+
+def _first_irreducible(p, degree):
+    # X^D + bX + c for the first (c, b) that is irreducible, b != 0 so that
+    # the D = 2 root exercises the shift by b
+    if degree == 1:
+        return ExtField(p, [0, 1])
+    for c in range(1, p):
+        for b in range(1, p):
+            try:
+                return ExtField(p, [c, b] + [0] * (degree - 2) + [1])
+            except ValueError:
+                pass
+    raise ValueError("no irreducible modulus found")
+
+
+# p = 3 mod 4 and p = 1 mod 4, 2-adicity up to 12 (12289), then the
+# benchmark primes: 54-bit (3 mod 4), Goldilocks (2-adicity 32), 2^127 - 1
+# (its D = 2 field has 2-adicity 128) and 2^255 - 19
+DIFF_PRIMES = (3, 5, 7, 13, 257, 12289, 17000000000000071, 2**64 - 2**32 + 1, 2**127 - 1, 2**255 - 19)
+DIFF_FIELDS = [_first_irreducible(p, d) for p in DIFF_PRIMES for d in (1, 2, 3)]
+DIFF_IDS = [f"{f.p.bit_length()}bit.p{f.p % 4}mod4.d{f.degree}" for f in DIFF_FIELDS]
+differential = pytest.mark.parametrize("field", DIFF_FIELDS, ids=DIFF_IDS)
+few = settings(max_examples=8, deadline=None)
+
+
+def _draw(data, field):
+    coeffs = data.draw(st.lists(st.integers(0, field.p - 1), min_size=field.degree, max_size=field.degree))
+    return field(coeffs)
+
+
+def _draw_tower(data, field):
+    tower = field.quadratic_tower()
+    return tower((_draw(data, field), _draw(data, field)))
+
+
+@differential
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_straight_line_mul_matches_generic_reduction(field, data):
+    a, b = _draw(data, field), _draw(data, field)
+    assert a * b == _ref_mul(a, b)
+    assert a * a == _ref_mul(a, a)
+    assert a ** 5 == _ref_pow(a, 5)
+
+
+@differential
+@few
+@given(data=st.data())
+def test_frobenius_matrix_matches_pth_power(field, data):
+    a, t = _draw(data, field), _draw_tower(data, field)
+    assert frobenius(a) == _ref_pow(a, field.p)
+    assert frobenius(t) == t ** field.p
+
+
+@differential
+@few
+@given(data=st.data())
+def test_norm_gate_matches_euler_criterion(field, data):
+    for a in (_draw(data, field), _draw_tower(data, field)):
+        q = a.field.order
+        euler = a ** ((q - 1) // 2) if isinstance(a, TowerElem) else _ref_pow(a, (q - 1) // 2)
+        assert extfield._is_square(a) == (not a or euler == a.field.one())
+        assert (ext_sqrt(a) is not None) == extfield._is_square(a)
+
+
+@differential
+@few
+@given(data=st.data())
+def test_norm_inverse_matches_fermat(field, data):
+    a = _draw(data, field)
+    if a:
+        assert a.inverse() == _ref_pow(a, field.order - 2)
+    else:
+        with pytest.raises(ZeroDivisionError):
+            a.inverse()
+
+
+@differential
+@few
+@given(data=st.data())
+def test_roots_match_tonelli_shanks(field, data):
+    # every branch of ext_sqrt against Tonelli-Shanks in the element's own field
+    for x in (_draw(data, field), _draw_tower(data, field)):
+        a = x * x
+        r = ext_sqrt(a)
+        if not a:
+            assert r == a
+            continue
+        ref = tonelli_shanks(a, a.field.order, a.field.nonresidue())
+        assert r == _canonical(ref)
+
+
+def test_choose_nonresidue_matches_the_euler_scan():
+    wide = _first_irreducible(2**127 - 1, 2)
+    for field in (K2, K3, K2.quadratic_tower(), K3.quadratic_tower(), wide, ExtField(2**127 - 1, [1, 0, 1])):
+        assert choose_nonresidue(field) == _euler_choose_nonresidue(field)
+
+
+def test_choose_nonresidue_gives_up_after_capped_draws(monkeypatch):
+    towers = [K2.quadratic_tower(), K3.quadratic_tower()]
+    calls = []
+
+    def always_square(a):
+        calls.append(a)
+        return True
+
+    monkeypatch.setattr(extfield, "_is_square", always_square)
+    for field in [K2, K3] + towers:
+        calls.clear()
+        with pytest.raises(ArithmeticError, match="non-residue"):
+            choose_nonresidue(field)
+        assert len(calls) <= 2 * 258 + NONRESIDUE_DRAWS

@@ -112,6 +112,23 @@ def test_tonelli_shanks_direct():
             assert r * r == F(a)
 
 
+@pytest.mark.parametrize("p", [7, 13, 41, 257, 2**64 - 2**32 + 1])
+def test_tonelli_shanks_rejects_nonresidue(p):
+    # 2-adicity 1 (p = 7) up to 32 (Goldilocks)
+    F = PrimeField(p)
+    ns = first_nonresidue(F)
+    for a in (ns, ns * 4, ns * 9):
+        with pytest.raises(ValueError, match="not a quadratic residue"):
+            tonelli_shanks(a, p, ns)
+
+
+def test_tonelli_shanks_terminates_on_composite_modulus():
+    # mod 21, b = 2^5 = 11 squares to 16, 4, 16, 4, ...: never to 1
+    F = PrimeField(21)
+    with pytest.raises(ValueError, match="not a quadratic residue"):
+        tonelli_shanks(F(2), 21, F(2))
+
+
 def _brute_cubic(p, c2, c1, c0):
     # distinct roots and factor degrees straight from the definition
     def ev(x):
