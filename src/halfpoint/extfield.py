@@ -310,13 +310,14 @@ class ExtElem:
 class TowerField:
     """F_{p^D}[Y]/(Y^2 - ns) over an ExtField, ns a quadratic non-residue."""
 
-    __slots__ = ("ext", "p", "ns", "_nonresidue")
+    __slots__ = ("ext", "p", "ns", "_nonresidue", "_twist")
 
     def __init__(self, ext, ns=None):
         self.ext = ext
         self.p = ext.p
         self.ns = ext.nonresidue() if ns is None else ext(ns)
         self._nonresidue = None
+        self._twist = None  # ns^((p-1)/2), filled by the first tower frobenius
 
     @property
     def order(self):
@@ -471,15 +472,25 @@ def _canon_key(a):
     return a.coeffs
 
 
+def _canon(r):
+    """The canonical sign of a square root: r or -r, whichever has the
+    lexicographically smaller coefficient vector."""
+    n = -r
+    return r if _canon_key(r) <= _canon_key(n) else n
+
+
 def frobenius(a):
     """The map a -> a^p; applied D times (2D in the tower) it is the identity.
 
     On F_{p^D} this is the precomputed Frobenius matrix.  In the tower,
-    (u + vY)^p = u^p + v^p * ns^((p-1)/2) * Y.
+    (u + vY)^p = u^p + v^p * ns^((p-1)/2) * Y, the twist ns^((p-1)/2)
+    computed once per tower.
     """
     field = a.field
     if isinstance(a, TowerElem):
-        twist = field.ns ** ((field.p - 1) // 2)
+        twist = field._twist
+        if twist is None:
+            twist = field._twist = field.ns ** ((field.p - 1) // 2)
         return TowerElem(field, frobenius(a.u), frobenius(a.v) * twist)
     return ExtElem(field, field._frobenius(a.coeffs))
 
@@ -591,8 +602,7 @@ def ext_sqrt(a):
       discriminant b^2 - 4c of X^2 + bX + c.
     * D = 3 takes sqrt(N(a)) in F_p and divides it by (a^((p+1)/2))^p.
 
-    The canonical root is the lexicographically smaller of r and -r on
-    coefficient vectors.
+    The root is returned with its canonical sign (``_canon``).
     """
     if not a:
         return a
@@ -616,7 +626,7 @@ def ext_sqrt(a):
         r = field(fp_sqrt(_norm(a)).value) / frobenius(a ** ((field.p + 1) // 2))
     if r * r != a:
         raise ArithmeticError("square root postcondition failed")
-    return r if _canon_key(r) <= _canon_key(-r) else -r
+    return _canon(r)
 
 
 def sqrt_in_tower(a):

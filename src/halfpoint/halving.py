@@ -85,15 +85,23 @@ def root_triple_a24(a2, a4, sqrt_fn):
     return RootTriple(zero, (-a2 + s) / 2, (-a2 - s) / 2, -a4)
 
 
-def sqrt_triple(x0, roots, sqrt_fn):
-    """Square roots of the three differences, or None if any is missing."""
+def sqrt_triple(x0, roots, sqrt_fn, conjugates=(None, None)):
+    """Square roots of the three differences, or None if any is missing.
+
+    ``conjugates`` may replace the square roots of alpha and beta: a map
+    given in its place takes the root before it (gamma, resp. alpha) to
+    this one.  Over F_p, when e1 = e0^p the difference x0 - e1 is the
+    Frobenius image of x0 - e0, so alpha is +/- gamma^p; the map must then
+    also apply the sign rule of ``sqrt_fn``.
+    """
     gamma = sqrt_fn(x0 - roots.e0)
     if gamma is None:
         return None
-    alpha = sqrt_fn(x0 - roots.e1)
+    to_alpha, to_beta = conjugates
+    alpha = sqrt_fn(x0 - roots.e1) if to_alpha is None else to_alpha(gamma)
     if alpha is None:
         return None
-    beta = sqrt_fn(x0 - roots.e2)
+    beta = sqrt_fn(x0 - roots.e2) if to_beta is None else to_beta(alpha)
     if beta is None:
         return None
     return SqrtTriple(gamma, alpha, beta)

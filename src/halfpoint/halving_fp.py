@@ -11,7 +11,15 @@ shortcut (P/2 = ((m+1)/2) * P) are provided for cross-checking.
 from math import lcm
 
 from .curves import INFINITY, Curve, Point
-from .extfield import ExtField, TowerElem, ext_sqrt, frobenius, project_to_fp, sqrt_in_tower
+from .extfield import (
+    ExtField,
+    TowerElem,
+    _canon,
+    ext_sqrt,
+    frobenius,
+    project_to_fp,
+    sqrt_in_tower,
+)
 from .halving import candidate_xs, recover_y, root_triple_from_roots, sqrt_triple
 from .primefield import FpElem, PrimeField, cubic_roots_fp, fp_sqrt, legendre
 
@@ -28,6 +36,12 @@ def _coerce_curve(p, curve):
     if any(getattr(c, "denominator", 1) != 1 for c in coeffs):
         raise ValueError("curve coefficients must be integers mod p")
     return fp, Curve(*(fp(int(c)) for c in coeffs))
+
+
+def _conjugate_root(r):
+    # x0 lies in F_p, so (x0 - e)^p = x0 - e^p: the Frobenius image of a
+    # root of x0 - e, with ext_sqrt's sign, is the root of x0 - e^p
+    return _canon(frobenius(r))
 
 
 class FpHalvingField:
@@ -48,9 +62,12 @@ class FpHalvingField:
         self.extension_degree = lcm(*degrees)
         self.tower_used = False
 
+        # one square root per Frobenius orbit of the roots: sqrt_triple
+        # takes alpha and beta as conjugates where e1 = e0^p and e2 = e1^p
         if self.extension_degree == 1:
             ext = ExtField(self.fp, [0, 1])
             e0, e1, e2 = (ext(r) for r in fp_roots)
+            self._conjugates = (None, None)
         elif self.extension_degree == 2:
             # deflate the cubic by its one rational root; the quotient is the
             # irreducible quadratic that defines the extension
@@ -61,11 +78,13 @@ class FpHalvingField:
             e0 = ext(r)
             e1 = ext.gen()
             e2 = frobenius(e1)
+            self._conjugates = (None, _conjugate_root)
         else:
             ext = ExtField(self.fp, [a6.value, a4.value, a2.value, 1])
             e0 = ext.gen()
             e1 = frobenius(e0)
             e2 = frobenius(e1)
+            self._conjugates = (_conjugate_root, _conjugate_root)
 
         self.extension = ext
         self.roots = root_triple_from_roots(e0, e1, e2)
@@ -123,7 +142,7 @@ class FpHalvingField:
         P = self.curve._norm(P)
         self.curve.require_point(P)
         x0 = self.lift(P.x)
-        sq = sqrt_triple(x0, self.roots, self.sqrt_total)
+        sq = sqrt_triple(x0, self.roots, self.sqrt_total, self._conjugates)
         cands = candidate_xs(x0, sq)
         in_base = [self.retract(xc) for xc in cands]
         halves, seen = [], set()

@@ -10,12 +10,13 @@ import random
 class PrimeField:
     """Context object for F_p.  Call it to make elements: ``F = PrimeField(7); F(3)``."""
 
-    __slots__ = ("p",)
+    __slots__ = ("p", "_nonresidue")
 
     def __init__(self, p):
         if p < 3 or p % 2 == 0:
             raise ValueError("modulus must be an odd prime")
         self.p = p
+        self._nonresidue = None  # filled by first_nonresidue
 
     def __call__(self, value):
         if isinstance(value, FpElem):
@@ -138,11 +139,18 @@ def legendre(a):
 
 
 def first_nonresidue(field):
-    """Smallest positive integer that is a quadratic non-residue mod p."""
-    for c in range(2, field.p):
-        if legendre(field(c)) == -1:
-            return field(c)
-    raise ValueError("no non-residue found; modulus is not an odd prime")
+    """Smallest positive integer that is a quadratic non-residue mod p.
+
+    The scan runs once per field; its result is kept on the field.
+    """
+    if field._nonresidue is None:
+        for c in range(2, field.p):
+            if legendre(field(c)) == -1:
+                field._nonresidue = field(c)
+                break
+        else:
+            raise ValueError("no non-residue found; modulus is not an odd prime")
+    return field._nonresidue
 
 
 def tonelli_shanks(a, q, nonresidue):

@@ -1,12 +1,15 @@
+import functools
 import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from halfpoint.curves import INFINITY, Curve, Point
 from halfpoint.extfield import ext_sqrt
-from halfpoint.halving import candidate_xs_products
+from halfpoint.halving import candidate_xs_products, sqrt_triple
 from halfpoint.halving_fp import (
     BRUTE_FORCE_LIMIT,
     FpHalvingField,
@@ -16,7 +19,7 @@ from halfpoint.halving_fp import (
     halve_over_fp,
     halve_via_order,
 )
-from halfpoint.primefield import PrimeField
+from halfpoint.primefield import PrimeField, fp_sqrt
 
 
 def test_coerce_rejects_bad_curves():
@@ -171,3 +174,81 @@ def test_budget_guards():
         enumerate_points(10007, big)
     with pytest.raises(ValueError):
         group_order_bf(10007, big)
+
+
+# -- one square root per Frobenius orbit --------------------------------------
+#
+# In D = 2 and D = 3 the context derives beta (and alpha) as canonical
+# Frobenius images of the root before; the three-root route, sqrt_triple
+# with no conjugates, must give the same triple, tower flag and halves.
+
+ORBIT_PRIMES = (
+    5, 7, 11, 13, 10007,
+    17000000000000071, 2**64 - 2**32 + 1, 2**127 - 1, 2**255 - 19,
+)
+
+
+@functools.lru_cache(maxsize=None)
+def _orbit_contexts(p, degree):
+    """A context whose cubic splits over F_{p^degree}, and its twin that
+    takes all three square roots."""
+    rng = random.Random(p * 4 + degree)
+    fp = PrimeField(p)
+    while True:
+        a2, a4, a6 = (rng.randrange(p) for _ in range(3))
+        if not Curve(fp(a2), fp(a4), fp(a6)).discriminant():
+            continue
+        ctx = FpHalvingField(p, Curve(a2, a4, a6))
+        if ctx.extension_degree == degree:
+            twin = FpHalvingField(p, Curve(a2, a4, a6))
+            twin._conjugates = (None, None)
+            return ctx, twin
+
+
+def _needs_tower(ctx, x):
+    # gamma's difference is a square in F_{p^D}; the tower is climbed iff
+    # alpha's is not
+    return ext_sqrt(ctx.lift(x) - ctx.roots.e1) is None
+
+
+def _orbit_matches_three_roots(ctx, twin, P):
+    x0 = ctx.lift(P.x)
+    ctx.tower_used = False
+    orbit = sqrt_triple(x0, ctx.roots, ctx.sqrt_total, ctx._conjugates)
+    orbit_tower = ctx.tower_used
+    ctx.tower_used = False
+    three = sqrt_triple(x0, ctx.roots, ctx.sqrt_total)
+    assert orbit == three
+    assert [type(r) for r in vars(orbit).values()] == [type(r) for r in vars(three).values()]
+    assert orbit_tower == ctx.tower_used == _needs_tower(ctx, P.x)
+    assert ctx.halve_with_info(P) == twin.halve_with_info(P)
+    return orbit_tower
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(ORBIT_PRIMES), st.sampled_from((2, 3)), st.integers(0, 2**255), st.booleans())
+def test_orbit_roots_match_three_square_roots(p, degree, x, tower):
+    # D = 3 never needs the tower: the differences are conjugates whose
+    # product is y0^2
+    ctx, twin = _orbit_contexts(p, degree)
+    tower = tower and degree == 2
+    fp = ctx.fp
+    for i in range(min(p, 64)):
+        xi = fp(x + i)
+        y = fp_sqrt(ctx.curve.rhs(xi))
+        if y is not None and _needs_tower(ctx, xi) == tower:
+            break
+    else:
+        assume(False)
+    assert _orbit_matches_three_roots(ctx, twin, Point(xi, y)) == tower
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def test_orbit_roots_exhaustive_small_primes(p):
+    climbed = 0
+    for degree in (2, 3):
+        ctx, twin = _orbit_contexts(p, degree)
+        for P in enumerate_points(p, ctx.curve):
+            if P is not INFINITY:
+                climbed += _orbit_matches_three_roots(ctx, twin, P)
+    assert climbed  # some D = 2 point took its alpha and beta in the tower

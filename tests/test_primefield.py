@@ -122,6 +122,33 @@ def test_tonelli_shanks_rejects_nonresidue(p):
             tonelli_shanks(a, p, ns)
 
 
+def _scanned_nonresidue(p):
+    # the uncached scan: smallest c >= 2 with Euler's criterion -1
+    return next(c for c in range(2, p) if pow(c, (p - 1) // 2, p) == p - 1)
+
+
+@pytest.mark.parametrize("p", [73, 257, 7681, 13, 29, 10037, 2**64 - 2**32 + 1])
+def test_first_nonresidue_cached_matches_scan(p):
+    # p = 1 mod 8 (73, 257, 7681), p = 5 mod 8 (13, 29, 10037) and Goldilocks
+    F = PrimeField(p)
+    ns = first_nonresidue(F)
+    assert int(ns) == _scanned_nonresidue(p)
+    assert first_nonresidue(F) is ns  # later calls reuse the kept element
+    assert first_nonresidue(PrimeField(p)) == ns  # a fresh field scans again
+    fp_sqrt(F(4))
+    assert first_nonresidue(F) is ns
+
+
+@given(st.sampled_from([2**64 - 2**32 + 1, 998244353, 469762049, 7681]), st.integers())
+def test_fp_sqrt_canonical_at_high_two_adicity(p, x):
+    # 2-adicity 32, 23, 26 and 9: long Tonelli-Shanks loops on the cached
+    # non-residue; the canonical root is the smaller of x and -x
+    F = PrimeField(p)
+    for _ in range(2):
+        r = fp_sqrt(F(x) * F(x))
+        assert int(r) == min(x % p, -x % p)
+
+
 def test_tonelli_shanks_terminates_on_composite_modulus():
     # mod 21, b = 2^5 = 11 squares to 16, 4, 16, 4, ...: never to 1
     F = PrimeField(21)
