@@ -7,9 +7,10 @@ constants of g computed once per field.  The Frobenius map a -> a^p, whose
 fixed field is F_p, is a D x D matrix over F_p built once from X^p.  The
 norm N(a), the product of a's conjugates, is an element of F_p and drives
 two things: inversion (a^-1 = conjugate product / N(a), after Itoh-Tsujii)
-and residuosity (a is a square iff N(a) is a square in F_p, one Legendre
-symbol).  Square roots in a quadratic extension reduce to square roots in
-the field below (Adj and Rodriguez-Henriquez, IEEE TC 2014).
+and residuosity (a is a square iff N(a) is a square in F_p).  Square roots
+in a quadratic extension reduce to square roots in the field below (Adj
+and Rodriguez-Henriquez, IEEE TC 2014), and the root of the norm they take
+first decides residuosity on the way.
 """
 
 import random
@@ -568,13 +569,14 @@ def choose_nonresidue(field, seed=0):
 
 
 def _quadratic_root(u, v, ns, sqrt):
-    """(x, y) with (x + y*t)^2 = u + v*t, where t^2 = ns.
+    """(x, y) with (x + y*t)^2 = u + v*t, where t^2 = ns, or None when
+    u + v*t is not a square of the quadratic extension.
 
-    u + v*t must be a square of the quadratic extension and ns a
-    non-residue of the field below, whose square-root function ``sqrt``
-    returns None on non-squares.  Costs two or three such roots and one
-    inverse: with n = sqrt(u^2 - ns v^2), exactly one of (u +- n)/2 is x^2,
-    and y = v / 2x.
+    ns is a non-residue of the field below, whose square-root function
+    ``sqrt`` returns None on non-squares.  Costs two or three such roots
+    and one inverse: with n = sqrt(u^2 - ns v^2), exactly one of (u +- n)/2
+    is x^2, and y = v / 2x.  u^2 - ns v^2 is the norm to the field below,
+    so when it has no root u + v*t has none either.
     """
     if not v:
         x = sqrt(u)
@@ -582,6 +584,8 @@ def _quadratic_root(u, v, ns, sqrt):
             return x, v
         return v, sqrt(u / ns)
     n = sqrt(u * u - v * v * ns)
+    if n is None:
+        return None
     x = sqrt((u + n) / 2)
     if x is None:
         x = sqrt((u - n) / 2)
@@ -591,16 +595,20 @@ def _quadratic_root(u, v, ns, sqrt):
 def ext_sqrt(a):
     """Canonical square root in the element's own field, or None.
 
-    Works for ExtElem and TowerElem alike.  The norm gate comes first: a is
-    a square iff N(a) is a square in F_p, one Legendre symbol.  No route
-    runs Tonelli-Shanks above F_p:
+    Works for ExtElem and TowerElem alike.  There is no separate
+    residuosity test: a is a square iff N(a) is a square in F_p, and every
+    route below takes a square root of a norm in the field below first,
+    so that root's absence is the answer.  No route runs Tonelli-Shanks
+    above F_p:
 
     * D = 1 is F_p itself (``fp_sqrt``).
     * Quadratic extensions take their root from the field below, with two
-      or three roots and one inverse there: the tower u + vY over F_{p^D},
-      and F_{p^2} written as F_p(t), where t = 2X + b squares to the
-      discriminant b^2 - 4c of X^2 + bX + c.
-    * D = 3 takes sqrt(N(a)) in F_p and divides it by (a^((p+1)/2))^p.
+      or three roots and one inverse there, and give None when the norm
+      u^2 - ns v^2 has no root (``_quadratic_root``): the tower u + vY
+      over F_{p^D}, and F_{p^2} written as F_p(t), where t = 2X + b squares
+      to the discriminant b^2 - 4c of X^2 + bX + c.
+    * D = 3 takes sqrt(N(a)) in F_p, None if it has none, and divides it by
+      (a^((p+1)/2))^p.
 
     The root is returned with its canonical sign (``_canon``).
     """
@@ -608,22 +616,28 @@ def ext_sqrt(a):
         return a
     field = a.field
     if isinstance(a, ExtElem) and field.degree == 1:
-        # N(a) = a: fp_sqrt's own Legendre gate is the norm gate
         r = fp_sqrt(field.base(a.coeffs[0]))
         return None if r is None else field(r.value)
-    if not _is_square(a):
-        return None
     if isinstance(a, TowerElem):
-        r = TowerElem(field, *_quadratic_root(a.u, a.v, field.ns, ext_sqrt))
+        root = _quadratic_root(a.u, a.v, field.ns, ext_sqrt)
+        if root is None:
+            return None
+        r = TowerElem(field, *root)
     elif field.degree == 2:
         fp, (c, b, _) = field.base, field.modulus
         v = fp(a.coeffs[1]) / 2
-        x, y = _quadratic_root(fp(a.coeffs[0]) - v * b, v, fp(b * b - 4 * c), fp_sqrt)
+        root = _quadratic_root(fp(a.coeffs[0]) - v * b, v, fp(b * b - 4 * c), fp_sqrt)
+        if root is None:
+            return None
+        x, y = root
         r = field([(x + y * b).value, (2 * y).value])
     else:
         # m = 1 + p + p^2 is odd and a^m = N(a), so a = N(a) / (a^k)^2 with
         # k = (m - 1)/2 = p(p + 1)/2, and a^k is the Frobenius of a^((p+1)/2)
-        r = field(fp_sqrt(_norm(a)).value) / frobenius(a ** ((field.p + 1) // 2))
+        n = fp_sqrt(_norm(a))
+        if n is None:
+            return None
+        r = field(n.value) / frobenius(a ** ((field.p + 1) // 2))
     if r * r != a:
         raise ArithmeticError("square root postcondition failed")
     return _canon(r)

@@ -6,17 +6,23 @@ Primality of the modulus is the caller's contract; it is never verified.
 
 import random
 
+# random draws cubic_roots_fp makes to split a cubic with three roots; a
+# draw splits it with probability about 3/4, so running out means the
+# modulus is not prime
+_SPLIT_DRAWS = 64
+
 
 class PrimeField:
     """Context object for F_p.  Call it to make elements: ``F = PrimeField(7); F(3)``."""
 
-    __slots__ = ("p", "_nonresidue")
+    __slots__ = ("p", "_nonresidue", "_ts_powers")
 
     def __init__(self, p):
         if p < 3 or p % 2 == 0:
             raise ValueError("modulus must be an odd prime")
         self.p = p
         self._nonresidue = None  # filled by first_nonresidue
+        self._ts_powers = None  # (z, q, c^(2^i) for c = z^s), filled by tonelli_shanks
 
     def __call__(self, value):
         if isinstance(value, FpElem):
@@ -161,11 +167,17 @@ def tonelli_shanks(a, q, nonresidue):
     the same field.  Raises ValueError when a is not a residue (b = a^s
     then takes e squarings to reach 1, a residue's b fewer) and when the
     squarings never reach 1, as modulo a composite.
+
+    On an FpElem the same steps run on ints.  There c = z^s, z the
+    non-residue, only ever enters as some c^(2^i), so those e powers are
+    computed on the first call with z and kept on the field.
     """
     s, e = q - 1, 0
     while s % 2 == 0:
         s //= 2
         e += 1
+    if isinstance(a, FpElem):
+        return FpElem(a.field, _tonelli_shanks_int(a.value, a.field, q, s, e, int(nonresidue)))
     # one exponentiation: x = a^((s+1)/2), b = a^s
     w = a ** ((s - 1) // 2)
     x = a * w
@@ -187,26 +199,61 @@ def tonelli_shanks(a, q, nonresidue):
     return x
 
 
+def _tonelli_shanks_int(a, field, q, s, e, z):
+    # the loop of tonelli_shanks on ints; c always equals c0^(2^(e0 - e)),
+    # so f = c^(2^(e - m - 1)) and its square are entries of the kept powers
+    p = field.p
+    kept = field._ts_powers
+    if kept is None or kept[0] != z or kept[1] != q:
+        powers = [pow(z, s, p)]
+        for _ in range(e - 1):
+            powers.append(powers[-1] * powers[-1] % p)
+        kept = field._ts_powers = (z, q, powers)
+    powers = kept[2]
+    e0 = e
+    w = pow(a, (s - 1) // 2, p)
+    x = a * w % p
+    b = x * w % p
+    while b != 1:
+        m, t = 0, b
+        while t != 1:
+            t = t * t % p
+            m += 1
+            if m == e:
+                raise ValueError("tonelli_shanks: input is not a quadratic residue")
+        x = x * powers[e0 - m - 1] % p
+        b = b * powers[e0 - m] % p
+        e = m
+    return x
+
+
 def fp_sqrt(a):
     """Canonical square root of a in F_p, or None for a non-residue.
 
-    The canonical root is the smaller of the two as an integer.  When
-    p = 3 mod 4 the single-exponentiation path a^((p+1)/4) is used; the
-    general case falls back to tonelli_shanks.  The result is re-squared
-    before returning.
+    The canonical root is the smaller of the two as an integer.  One
+    exponentiation decides residuosity and gives the root.  When
+    p = 3 mod 4, r = a^((p+1)/4) squares to a^((p+1)/2) = a * a^((p-1)/2),
+    which is a for a residue and -a otherwise (Euler's criterion).  In the
+    general case tonelli_shanks runs and raises on a non-residue.  A root
+    is re-squared before it is returned.
     """
-    p = a.field.p
-    if a.value == 0:
+    field = a.field
+    p, v = field.p, a.value
+    if v == 0:
         return a
-    if legendre(a) == -1:
-        return None
     if p % 4 == 3:
-        r = a ** ((p + 1) // 4)
+        r = pow(v, (p + 1) // 4, p)
+        if r * r % p == p - v:
+            return None
     else:
-        r = tonelli_shanks(a, p, first_nonresidue(a.field))
-    if r * r != a:
+        z = first_nonresidue(field)
+        try:
+            r = tonelli_shanks(a, p, z).value
+        except ValueError:  # tonelli_shanks' only error: a is not a residue
+            return None
+    if r * r % p != v:
         raise ArithmeticError("square root postcondition failed")
-    return r if r.value <= p - r.value else -r
+    return FpElem(field, r if r <= p - r else p - r)
 
 
 # -- dense polynomials over F_p, ascending coefficient lists ----------------
@@ -304,15 +351,22 @@ def cubic_roots_fp(c2, c1, c0, seed=0):
         # fully split and squarefree: split off one factor at random
         rng = random.Random(seed)
         g = linear_part
-        while True:
+        for _ in range(_SPLIT_DRAWS):
             h = _ppowmod([rng.randrange(p), 1], (p - 1) // 2, g, p)
             u = _pgcd(_psub(h, [1], p), g, p)
             if 1 <= len(u) - 1 <= 2:
                 break
+        else:
+            raise ArithmeticError(
+                f"no splitting of the cubic in {_SPLIT_DRAWS} random draws; is the modulus prime?"
+            )
         if len(u) - 1 == 1:
             r0 = field(-u[0])
         else:
-            r0 = _quadratic_roots_fp(field(u[1]), field(u[0]))[0]
+            split = _quadratic_roots_fp(field(u[1]), field(u[0]))
+            if not split:
+                raise ArithmeticError("split-off quadratic has no roots; is the modulus prime?")
+            r0 = split[0]
         # deflate g by (x - r0); the cofactor quadratic splits as well
         b = field(g[2]) + r0
         c = field(g[1]) + r0 * b

@@ -335,3 +335,27 @@ def test_choose_nonresidue_gives_up_after_capped_draws(monkeypatch):
         with pytest.raises(ArithmeticError, match="non-residue"):
             choose_nonresidue(field)
         assert len(calls) <= 2 * 258 + NONRESIDUE_DRAWS
+
+
+# D = 2 and D = 3 over 5, 13 (both 5 mod 8), 10007 (3 mod 4) and the benchmark primes,
+# with their towers
+GATE_PRIMES = (5, 13, 10007, 17000000000000071, 2**64 - 2**32 + 1, 2**127 - 1, 2**255 - 19)
+GATE_FIELDS = [_first_irreducible(p, d) for p in GATE_PRIMES for d in (2, 3)]
+GATE_IDS = [f"{f.p.bit_length()}bit.d{f.degree}" for f in GATE_FIELDS]
+
+
+@pytest.mark.parametrize("field", GATE_FIELDS, ids=GATE_IDS)
+@few
+@given(data=st.data())
+def test_ext_sqrt_is_none_exactly_on_non_squares(field, data):
+    # ext_sqrt has no residuosity gate of its own: its None must still match
+    # the norm criterion, on random elements, squares and non-squares
+    for x in (_draw(data, field), _draw_tower(data, field)):
+        ns = x.field.nonresidue()
+        for a in (x, x * x, x * x * ns):
+            r = ext_sqrt(a)
+            assert (r is None) == (not extfield._is_square(a))
+            if r is not None:
+                assert r * r == a and r == _canonical(r)
+        if x:
+            assert ext_sqrt(x * x * ns) is None

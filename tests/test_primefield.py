@@ -1,7 +1,9 @@
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from halfpoint import primefield
+from halfpoint.extfield import ExtField
 from halfpoint.primefield import (
     FpElem,
     PrimeField,
@@ -210,3 +212,131 @@ def test_cubic_roots_large_prime():
     # the right-hand side of the big reference curve has no roots mod p
     roots, degrees = cubic_roots_fp(F(0), F(17), F(71))
     assert roots == [] and degrees == (3,)
+
+
+# -- the single-exponentiation square root against the route it replaced -----
+
+SQRT_3MOD4 = (7, 11, 10007, 2**61 - 1, 17000000000000071, 2**127 - 1)
+SQRT_5MOD8 = (5, 13, 29, 10037, 2**255 - 19)
+# p = 1 mod 8: the smallest k * 2^e + 1, k odd, for each 2-adicity e = 9..32,
+# and Goldilocks (2-adicity 32)
+SQRT_1MOD8 = (
+    7681, 13313, 18433, 12289, 40961, 114689, 163841, 65537, 1179649, 786433,
+    5767169, 7340033, 23068673, 104857601, 377487361, 754974721, 167772161,
+    469762049, 2013265921, 3489660929, 12348030977, 3221225473, 75161927681,
+    184683593729, 2**64 - 2**32 + 1,
+)
+SQRT_PRIMES = SQRT_3MOD4 + SQRT_5MOD8 + SQRT_1MOD8
+
+
+def _two_exponentiation_sqrt(a):
+    # Euler's criterion a^((p-1)/2) first, then a second exponentiation:
+    # a^((p+1)/4), or the generic Tonelli-Shanks loop (run on a degree-1
+    # extension field, which never takes the int branch)
+    field = a.field
+    p = field.p
+    if not a:
+        return a
+    if pow(a.value, (p - 1) // 2, p) != 1:
+        return None
+    if p % 4 == 3:
+        r = a ** ((p + 1) // 4)
+    else:
+        K1 = ExtField(field, [0, 1])
+        r = field(tonelli_shanks(K1(a.value), p, K1(first_nonresidue(field).value)).coeffs[0])
+    return r if r.value <= p - r.value else -r
+
+
+@pytest.mark.parametrize("primes", [SQRT_3MOD4, SQRT_5MOD8, SQRT_1MOD8], ids=["3mod4", "5mod8", "1mod8"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_fp_sqrt_matches_two_exponentiation_route(primes, data):
+    p = data.draw(st.sampled_from(primes))
+    x = data.draw(st.integers(0, p - 1))
+    F = PrimeField(p)
+    ns = first_nonresidue(F)
+    assert fp_sqrt(F(0)) == F(0)
+    for a in (F(x), F(x) * F(x), ns * F(x) * F(x)):
+        r = fp_sqrt(a)
+        assert r == _two_exponentiation_sqrt(a)
+        assert (r is None) == (legendre(a) == -1)
+    assert int(fp_sqrt(F(x) * F(x))) == min(x, p - x)  # the canonical sign
+    if x:
+        assert fp_sqrt(ns * F(x) * F(x)) is None
+
+
+@settings(max_examples=150, deadline=None)
+@given(p=st.sampled_from(SQRT_PRIMES), x=st.integers(min_value=0), y=st.integers(min_value=1))
+def test_tonelli_shanks_int_branch_matches_generic_loop(p, x, y):
+    # two non-residues on one field: the kept powers of z^s follow z
+    F = PrimeField(p)
+    K1 = ExtField(F, [0, 1])
+    ns = first_nonresidue(F)
+    other = ns * F(y) * F(y) or ns
+    for z in (ns, other, ns):
+        for a in (F(x) * F(x), ns * F(x) * F(x), F(x)):
+            try:
+                want = tonelli_shanks(K1(a.value), p, K1(z.value)).coeffs[0]
+            except ValueError:
+                with pytest.raises(ValueError, match="not a quadratic residue"):
+                    tonelli_shanks(a, p, z)
+            else:
+                r = tonelli_shanks(a, p, z)
+                assert isinstance(r, FpElem) and r.value == want
+
+
+# -- cubic_roots_fp: bounded splitting, typed errors on composite moduli -------
+
+
+class _FixedDraws:
+    """Stands in for the random module: every draw returns the same t."""
+
+    def __init__(self, t):
+        self.t = t
+        self.draws = 0
+
+    def Random(self, seed):
+        return self
+
+    def randrange(self, n):
+        self.draws += 1
+        return self.t
+
+
+def test_cubic_roots_splitting_gives_up_after_capped_draws(monkeypatch):
+    # (x-1)(x-2)(x-3) mod 13; t + 1, t + 2, t + 3 of one quadratic
+    # character never split it
+    p = 13
+    F = PrimeField(p)
+    t = next(t for t in range(p) if len({legendre(F(t + r)) for r in (1, 2, 3)}) == 1)
+    draws = _FixedDraws(t)
+    monkeypatch.setattr(primefield, "random", draws)
+    with pytest.raises(ArithmeticError, match="random draws"):
+        cubic_roots_fp(F(-6), F(11), F(-6))
+    assert draws.draws == primefield._SPLIT_DRAWS
+
+
+@pytest.mark.parametrize("p, coeffs", [(25, (7, 7, 24)), (55, (0, 0, 1))])
+def test_cubic_roots_composite_modulus_raises_arithmetic_error(p, coeffs):
+    # mod 25 the split-off quadratic has no roots (before: a bare
+    # IndexError); mod 55, x^3 + 1 fails a square-root postcondition
+    F = PrimeField(p)
+    with pytest.raises(ArithmeticError):
+        cubic_roots_fp(*(F(c) for c in coeffs))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    p=st.sampled_from((10007, 12289, 10037, 17000000000000071, 2**64 - 2**32 + 1, 2**127 - 1)),
+    rs=st.lists(st.integers(min_value=0), min_size=3, max_size=3),
+    seed=st.integers(0, 5),
+)
+def test_cubic_roots_prime_modulus_unchanged(p, rs, seed):
+    # every cubic with its roots in F_p, double roots included, over
+    # p = 3 mod 4, 5 mod 8 and 1 mod 8: the roots and the shape are exact
+    F = PrimeField(p)
+    r1, r2, r3 = (F(r) for r in rs)
+    c2, c1, c0 = -(r1 + r2 + r3), r1 * r2 + r2 * r3 + r3 * r1, -(r1 * r2 * r3)
+    roots, degrees = cubic_roots_fp(c2, c1, c0, seed=seed)
+    assert [int(r) for r in roots] == sorted({r % p for r in rs})
+    assert degrees == (1, 1, 1)
