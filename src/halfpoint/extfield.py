@@ -2,9 +2,13 @@
 on-demand quadratic tower F_{p^(2D)} = F_{p^D}[Y]/(Y^2 - ns) that adjoins
 square roots of non-residues.
 
-Multiplication is straight-line code per degree, with the reduction
-constants of g computed once per field.  The Frobenius map a -> a^p, whose
-fixed field is F_p, is a D x D matrix over F_p built once from X^p.  The
+Multiplication and squaring are straight-line code per degree, with the
+reduction constants of g computed once per field, and powers take a
+sliding window whose width grows with the exponent's bit length; this is
+the arithmetic of ``primefield``, which factors cubics with it too.  The
+Frobenius map a -> a^p, whose fixed field is F_p, is a D x D matrix over
+F_p built once from X^p; the same X^p shows that g has no root in F_p,
+so building a field never factors its modulus.  The
 norm N(a), the product of a's conjugates, is an element of F_p and drives
 two things: inversion (a^-1 = conjugate product / N(a), after Itoh-Tsujii)
 and residuosity (a is a square iff N(a) is a square in F_p).  Square roots
@@ -19,7 +23,11 @@ from operator import mul as _imul
 from .primefield import (
     PrimeField,
     FpElem,
-    cubic_roots_fp,
+    _mul_fn,
+    _pgcd,
+    _pow_coeffs,
+    _psub,
+    cubic_roots_fp,  # no longer called here; perfbench/tracing.py wraps this name
     fp_sqrt,
     legendre,
     tonelli_shanks,  # no longer called here; perfbench/tracing.py wraps this name
@@ -31,61 +39,18 @@ from .primefield import (
 NONRESIDUE_DRAWS = 256
 
 
-def _mul_fn(p, modulus):
-    """Product of two coefficient tuples modulo the monic ``modulus``."""
-    d = len(modulus) - 1
-    if d == 1:
-        def mul(a, b):
-            return (a[0] * b[0] % p,)
-    elif d == 2:
-        # X^2 = m0 + m1 X
-        m0, m1 = (-c % p for c in modulus[:2])
-
-        def mul(a, b):
-            a0, a1 = a
-            b0, b1 = b
-            t = a1 * b1
-            return ((a0 * b0 + m0 * t) % p, (a0 * b1 + a1 * b0 + m1 * t) % p)
-    else:
-        # X^3 = m0 + m1 X + m2 X^2 and X^4 = n0 + n1 X + n2 X^2
-        m0, m1, m2 = (-c % p for c in modulus[:3])
-        n0, n1, n2 = m2 * m0 % p, (m0 + m2 * m1) % p, (m1 + m2 * m2) % p
-
-        def mul(a, b):
-            a0, a1, a2 = a
-            b0, b1, b2 = b
-            t3 = (a1 * b2 + a2 * b1) % p
-            t4 = a2 * b2 % p
-            return (
-                (a0 * b0 + m0 * t3 + n0 * t4) % p,
-                (a0 * b1 + a1 * b0 + m1 * t3 + n1 * t4) % p,
-                (a0 * b2 + a1 * b1 + a2 * b0 + m2 * t3 + n2 * t4) % p,
-            )
-    return mul
-
-
-def _pow_coeffs(mul, one, base, e):
-    """base^e for e >= 0 by square-and-multiply on coefficient tuples."""
-    result = one
-    while e:
-        if e & 1:
-            result = mul(result, base)
-        e >>= 1
-        if e:
-            base = mul(base, base)
-    return result
-
-
 class ExtField:
     """F_p[X]/(g) for a monic irreducible g of degree 1, 2 or 3.
 
     The modulus is given as an ascending coefficient list, e.g.
     ``[71, 17, 0, 1]`` for X^3 + 17X + 71.  Irreducibility is checked at
-    construction.
+    construction by gcd(X^p - X, g) = 1 (no root in F_p, which suffices in
+    degree 2 and 3), with the X^p that the Frobenius matrix is built from.
     """
 
     __slots__ = (
-        "base", "p", "degree", "modulus", "_tower", "_nonresidue", "_mul", "_one", "_frob_cols"
+        "base", "p", "degree", "modulus", "_tower", "_nonresidue", "_mul", "_sqr", "_one",
+        "_frob_cols",
     )
 
     def __init__(self, base, modulus):
@@ -100,15 +65,18 @@ class ExtField:
         if self.degree not in (1, 2, 3):
             raise ValueError("extension degree must be 1, 2 or 3")
         self.modulus = tuple(modulus)
-        self._check_irreducible()
         self._tower = None
         self._nonresidue = None
-        self._mul = _mul_fn(self.p, self.modulus)
+        self._mul, self._sqr = _mul_fn(self.p, self.modulus)
         self._one = (1,) + (0,) * (self.degree - 1)
         # row i of the Frobenius matrix is X^(i*p); stored by columns
         rows = [self._one]
         if self.degree > 1:
-            xp = _pow_coeffs(self._mul, self._one, (0, 1) + (0,) * (self.degree - 2), self.p)
+            gen = (0, 1) + (0,) * (self.degree - 2)
+            xp = _pow_coeffs(self._mul, self._sqr, self._one, gen, self.p)
+            # g of degree 2 or 3 is irreducible iff it has no root in F_p
+            if _pgcd(_psub(xp, [0, 1], self.p), list(self.modulus), self.p) != [1]:
+                raise ValueError("modulus is reducible")
             while len(rows) < self.degree:
                 rows.append(self._mul(rows[-1], xp))
         self._frob_cols = tuple(zip(*rows))
@@ -128,22 +96,6 @@ class ExtField:
             s = self._frobenius(s)
             conj = self._mul(conj, s)
         return conj, self._mul(c, conj)[0]
-
-    def _check_irreducible(self):
-        d = self.degree
-        if d == 1:
-            return
-        if d == 2:
-            c, b = self.modulus[0], self.modulus[1]
-            disc = self.base(b) * b - 4 * c
-            if legendre(disc) != -1:
-                raise ValueError("quadratic modulus is reducible")
-        else:
-            _, degrees = cubic_roots_fp(
-                self.base(self.modulus[2]), self.base(self.modulus[1]), self.base(self.modulus[0])
-            )
-            if degrees != (3,):
-                raise ValueError("cubic modulus is reducible")
 
     @property
     def order(self):
@@ -273,7 +225,7 @@ class ExtElem:
         if e < 0:
             return self.inverse() ** (-e)
         field = self.field
-        return ExtElem(field, _pow_coeffs(field._mul, field._one, self.coeffs, e))
+        return ExtElem(field, _pow_coeffs(field._mul, field._sqr, field._one, self.coeffs, e))
 
     def inverse(self):
         # a^-1 = (conjugate product) / N(a)
@@ -645,12 +597,18 @@ def ext_sqrt(a):
 
 def sqrt_in_tower(a):
     """A total square root: in the field itself when a is a residue, else in
-    the quadratic tower (where a/ns is then a residue)."""
+    the quadratic tower (where a/ns is then a residue).
+
+    The root of a/ns is tried first, so a caller that has just seen
+    ext_sqrt(a) fail does not pay for that failure twice.  The function is
+    meant for such non-residues: a residue a pays for two roots, the failed
+    one of a/ns (a division, a norm and an F_p root) and its own.
+    """
     tower = a.field.quadratic_tower()
-    s = ext_sqrt(a)
-    if s is not None:
-        return tower(s)
     s = ext_sqrt(a / tower.ns)
+    if s is not None:
+        return TowerElem(tower, a.field.zero(), s)
+    s = ext_sqrt(a)
     if s is None:
         raise ArithmeticError("non-residue quotient of non-residues")
-    return TowerElem(tower, a.field.zero(), s)
+    return tower(s)

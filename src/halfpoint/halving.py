@@ -160,17 +160,19 @@ def recover_y(curve, x_half, P, sqrt_fn):
     """All points (x_half, y) that double exactly to P.
 
     Zero, one, or two points: a point of order 2 has its halves in +/- y
-    pairs that share an x-coordinate, so both signs must be kept.
+    pairs that share an x-coordinate, so both signs must be kept.  One
+    doubling decides both signs, since 2(x, -y) = -2(x, y) exactly: (x, y)
+    is kept if its double is P, (x, -y) if it is -P.
     """
     rhs = curve.rhs(x_half)
     y = sqrt_fn(rhs)
     if y is None:
         return []
-    out = []
-    for yc in (y, -y) if y else (y,):
-        Q = Point(x_half, yc)
-        if curve._add_raw(Q, Q) == P:
-            out.append(Q)
+    Q = Point(x_half, y)
+    D = curve._add_raw(Q, Q)
+    out = [Q] if D == P else []
+    if y and D == curve.neg(P):
+        out.append(Point(x_half, -y))
     return out
 
 

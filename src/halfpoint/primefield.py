@@ -1,6 +1,11 @@
 """Arithmetic in the prime field F_p for an odd prime p: element type,
 quadratic-residue tests, square roots, and root-finding for monic cubics.
 
+Residues modulo a monic polynomial of degree <= 3 are multiplied and
+squared by straight-line code and raised to powers by a sliding window;
+the cubic root-finding here and the extension fields of ``extfield``
+share that arithmetic.
+
 Primality of the modulus is the caller's contract; it is never verified.
 """
 
@@ -256,9 +261,128 @@ def fp_sqrt(a):
     return FpElem(field, r if r <= p - r else p - r)
 
 
-# -- dense polynomials over F_p, ascending coefficient lists ----------------
+# -- polynomials over F_p -----------------------------------------------------
 #
-# Only what cubic root-finding needs; coefficients are plain ints.
+# Two representations, both with plain int coefficients.  Residues modulo a
+# monic polynomial of degree <= 3 are coefficient tuples on 1, X, X^2,
+# multiplied and squared by straight-line code (_mul_fn) and raised to
+# powers by a sliding window whose width follows the exponent's length, or
+# below 24 bits by plain square-and-multiply (_pow_coeffs); ExtField is
+# built on the same functions, but nothing here needs the modulus to be
+# irreducible.  The gcds of root-finding run on ascending coefficient lists
+# (_pgcd), which are only ever the small remainders left by those powers.
+
+# exponents shorter than this take plain square-and-multiply: the codec's
+# 13-bit ones would save a product or two in a window and lose more to its
+# bookkeeping (codec-decrypt ran 3 % slower with them windowed)
+_WINDOW_MIN_BITS = 24
+
+
+def _mul_fn(p, modulus):
+    """(mul, sqr): product and square of coefficient tuples modulo the
+    monic ``modulus`` (ascending coefficients, degree 1, 2 or 3)."""
+    d = len(modulus) - 1
+    if d == 1:
+        def mul(a, b):
+            return (a[0] * b[0] % p,)
+
+        def sqr(a):
+            return (a[0] * a[0] % p,)
+    elif d == 2:
+        # X^2 = m0 + m1 X
+        m0, m1 = (-c % p for c in modulus[:2])
+
+        def mul(a, b):
+            a0, a1 = a
+            b0, b1 = b
+            t = a1 * b1
+            return ((a0 * b0 + m0 * t) % p, (a0 * b1 + a1 * b0 + m1 * t) % p)
+
+        def sqr(a):
+            a0, a1 = a
+            t = a1 * a1
+            return ((a0 * a0 + m0 * t) % p, (2 * a0 * a1 + m1 * t) % p)
+    else:
+        # X^3 = m0 + m1 X + m2 X^2 and X^4 = n0 + n1 X + n2 X^2
+        m0, m1, m2 = (-c % p for c in modulus[:3])
+        n0, n1, n2 = m2 * m0 % p, (m0 + m2 * m1) % p, (m1 + m2 * m2) % p
+
+        def mul(a, b):
+            a0, a1, a2 = a
+            b0, b1, b2 = b
+            t3 = (a1 * b2 + a2 * b1) % p
+            t4 = a2 * b2 % p
+            return (
+                (a0 * b0 + m0 * t3 + n0 * t4) % p,
+                (a0 * b1 + a1 * b0 + m1 * t3 + n1 * t4) % p,
+                (a0 * b2 + a1 * b1 + a2 * b0 + m2 * t3 + n2 * t4) % p,
+            )
+
+        def sqr(a):
+            a0, a1, a2 = a
+            t3 = 2 * a1 * a2 % p
+            t4 = a2 * a2 % p
+            return (
+                (a0 * a0 + m0 * t3 + n0 * t4) % p,
+                (2 * a0 * a1 + m1 * t3 + n1 * t4) % p,
+                (a1 * a1 + 2 * a0 * a2 + m2 * t3 + n2 * t4) % p,
+            )
+    return mul, sqr
+
+
+def _pow_coeffs(mul, sqr, one, base, e):
+    """base^e for e >= 0 on coefficient tuples.
+
+    Exponents shorter than ``_WINDOW_MIN_BITS`` run plain square-and-multiply,
+    longer ones a sliding window of k bits (Cohen-Frey et al., Handbook of
+    Elliptic and Hyperelliptic Curve Cryptography, ch. 9): e is cut from
+    its low end into windows that each start on a one bit and is evaluated
+    from the top, one square per bit and one product per window, after
+    building only the odd powers base^1, base^3, ... up to the largest
+    window value (for a power of two such as 2^126, base itself).  An n-bit
+    e has about n/(k+1) windows, so width k+1 saves n/((k+1)(k+2))
+    products over width k and builds 2^(k-1) more odd powers: it pays from
+    n = 2^(k-1)(k+1)(k+2) bits on, hence k = 3, 4 and 5 from 24, 80 and 240
+    bits.  On the 53- to 255-bit exponents of the benchmark primes these
+    are the widths with the fewest products.
+    """
+    n = e.bit_length()
+    if n < _WINDOW_MIN_BITS:
+        result = one
+        while e:
+            if e & 1:
+                result = mul(result, base)
+            e >>= 1
+            if e:
+                base = sqr(base)
+        return result
+    k = 3 if n < 80 else 4 if n < 240 else 5
+    windows = []  # (odd value, position of its lowest bit), lowest first
+    pos = 0
+    while e:
+        zeros = (e & -e).bit_length() - 1
+        e >>= zeros
+        pos += zeros
+        windows.append((e & ((1 << k) - 1), pos))
+        e >>= k
+        pos += k
+    odd = [base]  # odd[u // 2] = base^u
+    top = max(u for u, _ in windows)
+    if top > 1:
+        square = sqr(base)
+        while 2 * len(odd) - 1 < top:
+            odd.append(mul(odd[-1], square))
+    u, at = windows.pop()
+    result = odd[u // 2]
+    for u, pos in reversed(windows):
+        for _ in range(at - pos):
+            result = sqr(result)
+        result = mul(result, odd[u // 2])
+        at = pos
+    for _ in range(at):
+        result = sqr(result)
+    return result
+
 
 def _ptrim(f):
     while f and f[-1] == 0:
@@ -295,16 +419,6 @@ def _pgcd(f, g, p):
         f = [c * inv_lead % p for c in f]
     return f
 
-def _ppowmod(base, e, mod, p):
-    result = [1]
-    base = _pmod(base, mod, p)
-    while e:
-        if e & 1:
-            result = _pmod(_pmul(result, base, p), mod, p)
-        base = _pmod(_pmul(base, base, p), mod, p)
-        e >>= 1
-    return result
-
 def _psub(f, g, p):
     out = [0] * max(len(f), len(g))
     for i, fi in enumerate(f):
@@ -332,13 +446,19 @@ def cubic_roots_fp(c2, c1, c0, seed=0):
     distinct roots and degrees is the multiset of irreducible-factor
     degrees, one of (1,1,1), (1,2), (3).  The distinct roots come from
     gcd(X^p - X, f); when all three live in F_p a seeded random splitting
-    isolates them.  The root set does not depend on the seed.
+    by gcd((X + t)^((p-1)/2) - 1, f) isolates them.  The root set does not
+    depend on the seed.  X^p and the splitting powers are computed modulo
+    f with the straight-line arithmetic and windowed exponentiation that
+    ExtField uses (``_mul_fn``, ``_pow_coeffs``), f being irreducible or
+    not.
     """
     field = c2.field
     p = field.p
     f = [c0.value, c1.value, c2.value, 1]
+    mul, sqr = _mul_fn(p, f)
+    one = (1, 0, 0)
 
-    xp = _ppowmod([0, 1], p, f, p)
+    xp = _pow_coeffs(mul, sqr, one, (0, 1, 0), p)
     linear_part = _pgcd(_psub(xp, [0, 1], p), f, p)
 
     roots = []
@@ -348,12 +468,12 @@ def cubic_roots_fp(c2, c1, c0, seed=0):
     elif deg == 2:
         roots = _quadratic_roots_fp(field(linear_part[1]), field(linear_part[0]))
     elif deg == 3:
-        # fully split and squarefree: split off one factor at random
+        # fully split and squarefree, so the monic gcd is f itself: split
+        # off one factor at random
         rng = random.Random(seed)
-        g = linear_part
         for _ in range(_SPLIT_DRAWS):
-            h = _ppowmod([rng.randrange(p), 1], (p - 1) // 2, g, p)
-            u = _pgcd(_psub(h, [1], p), g, p)
+            h = _pow_coeffs(mul, sqr, one, (rng.randrange(p), 1, 0), (p - 1) // 2)
+            u = _pgcd(_psub(h, [1], p), f, p)
             if 1 <= len(u) - 1 <= 2:
                 break
         else:
@@ -367,9 +487,9 @@ def cubic_roots_fp(c2, c1, c0, seed=0):
             if not split:
                 raise ArithmeticError("split-off quadratic has no roots; is the modulus prime?")
             r0 = split[0]
-        # deflate g by (x - r0); the cofactor quadratic splits as well
-        b = field(g[2]) + r0
-        c = field(g[1]) + r0 * b
+        # deflate f by (x - r0); the cofactor quadratic splits as well
+        b = c2 + r0
+        c = c1 + r0 * b
         roots = [r0] + _quadratic_roots_fp(b, c)
 
     roots = sorted(set(roots), key=int)

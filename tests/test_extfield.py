@@ -359,3 +359,27 @@ def test_ext_sqrt_is_none_exactly_on_non_squares(field, data):
                 assert r * r == a and r == _canonical(r)
         if x:
             assert ext_sqrt(x * x * ns) is None
+
+
+def _residue_first_sqrt_in_tower(a):
+    # the former order: the root in the field itself, then the root of a/ns
+    tower = a.field.quadratic_tower()
+    s = ext_sqrt(a)
+    if s is not None:
+        return tower(s)
+    return TowerElem(tower, a.field.zero(), ext_sqrt(a / tower.ns))
+
+
+@pytest.mark.parametrize("field", GATE_FIELDS, ids=GATE_IDS)
+@few
+@given(data=st.data())
+def test_sqrt_in_tower_order_keeps_its_roots(field, data):
+    # the root of a/ns is tried first now; residues, non-residues and zero
+    # get the same root, representation included
+    x = _draw(data, field)
+    ns = field.nonresidue()
+    for a in (field.zero(), x, x * x, x * x * ns):
+        r = sqrt_in_tower(a)
+        ref = _residue_first_sqrt_in_tower(a)
+        assert (r.u.coeffs, r.v.coeffs) == (ref.u.coeffs, ref.v.coeffs)
+        assert r * r == a.field.quadratic_tower()(a)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from halfpoint.curves import Curve, Point
+from halfpoint.curves import INFINITY, Curve, Point
 from halfpoint.exact import rational_sqrt
 from halfpoint.halving import (
     candidate_xs,
@@ -17,6 +17,8 @@ from halfpoint.halving import (
     root_triple_from_roots,
     sqrt_triple,
 )
+from halfpoint.halving_fp import enumerate_points
+from halfpoint.primefield import PrimeField, fp_sqrt
 
 ROOTS36 = root_triple_from_roots(Fraction(0), Fraction(6), Fraction(-6))
 X0 = Fraction(25, 4)
@@ -151,3 +153,63 @@ def test_product_route_matches_direct_route(x0, g, a, b):
     cands, data = out
     assert data.t == (x0 - roots.e1) * (x0 - roots.e2)
     assert set(cands) == set(direct)
+
+
+# -- one doubling per candidate, against the two-doubling route ----------------
+
+
+def _two_doubling_recover_y(curve, x_half, P, sqrt_fn):
+    # both signs doubled separately, as recover_y did before
+    y = sqrt_fn(curve.rhs(x_half))
+    if y is None:
+        return []
+    out = []
+    for yc in (y, -y) if y else (y,):
+        Q = Point(x_half, yc)
+        if curve._add_raw(Q, Q) == P:
+            out.append(Q)
+    return out
+
+
+def _assert_same_recovery(curve, xs, targets, sqrt_fn):
+    for P in targets:
+        for x in xs:
+            assert recover_y(curve, x, P, sqrt_fn) == _two_doubling_recover_y(curve, x, P, sqrt_fn)
+
+
+def test_recover_y_matches_two_doublings_over_q():
+    # congruent curves y^2 = x^3 - n^2 x with a point G of infinite order;
+    # targets 2^k G for k <= 4, their negatives, infinity and the order-2
+    # points; x-values the halves' own, G's, the targets' and plain misses
+    for n, G in ((5, Point(Fraction(-4), Fraction(6))), (6, Point(Fraction(-3), Fraction(9))),
+                 (7, Point(Fraction(25), Fraction(120)))):
+        curve = Curve(0, -n * n, 0)
+        chain = [G]
+        for _ in range(4):
+            chain.append(curve.double(chain[-1]))
+        order2 = [Point(Fraction(e), Fraction(0)) for e in (0, n, -n)]
+        targets = chain[1:] + [curve.neg(P) for P in chain[1:]] + order2 + [INFINITY]
+        xs = [P.x for P in chain] + [Fraction(e) for e in (0, n, -n, 1, 2 * n)] + [Fraction(-1, 4)]
+        _assert_same_recovery(curve, xs, targets, rational_sqrt)
+
+
+def test_recover_y_keeps_both_signs_at_order_two():
+    # y^2 = x(x + 1)(x + 4): (0, 0) has the halves (2, +-6) and (-2, +-2)
+    curve = Curve(5, 4, 0)
+    P = Point(Fraction(0), Fraction(0))
+    assert recover_y(curve, Fraction(2), P, rational_sqrt) == [Point(2, 6), Point(2, -6)]
+    assert recover_y(curve, Fraction(-2), P, rational_sqrt) == [Point(-2, 2), Point(-2, -2)]
+    assert recover_y(curve, Fraction(-1), P, rational_sqrt) == []  # y = 0 doubles to infinity
+    assert recover_y(curve, Fraction(-1), INFINITY, rational_sqrt) == [Point(-1, 0)]
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def test_recover_y_matches_two_doublings_over_small_prime_fields(p):
+    # every curve with a2 in {0, 1}, every point as the target, every x
+    fp = PrimeField(p)
+    for a2, a4, a6 in itertools.product((0, 1), range(p), range(p)):
+        curve = Curve(fp(a2), fp(a4), fp(a6))
+        if not curve.discriminant():
+            continue
+        points = enumerate_points(p, curve)
+        _assert_same_recovery(curve, [fp(x) for x in range(p)], points, fp_sqrt)
