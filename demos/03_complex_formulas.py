@@ -8,17 +8,9 @@ sign-flip invariance) at machine precision instead of symbolically.
 
 import cmath
 
-from halfpoint import (
-    ComplexBackend,
-    Curve,
-    Point,
-    candidate_xs,
-    cardano_d,
-    meeting_x,
-    resolvent_r,
-    sqrt_triple,
-    verify_halving_numeric,
-)
+from halfpoint import ComplexBackend, Curve, Point, meeting_x, verify_halving_numeric
+from halfpoint.complexcheck import cardano_d, resolvent_r
+from halfpoint.halving import candidate_xs, sqrt_triple
 
 a4, a6 = -36.0, 0.0
 print(f"curve y^2 = x^3 + ({a4})x + ({a6})")

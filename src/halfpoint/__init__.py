@@ -4,140 +4,44 @@ Given P on y^2 = x^3 + a2*x^2 + a4*x + a6, find every Q with 2Q = P.
 Exact over the rationals on fully split curves, complete over prime
 fields via extension-field square roots, and numerically over the
 complex numbers as an independent check.
+
+The package exports what the command line, the demos and the README use;
+the paper's intermediate steps (``halving.sqrt_triple``,
+``halving.candidate_xs``, ``complexcheck.cardano_d``, ...) are imported
+from their modules.
 """
 
 from .codec import CodecParams, decode_message, decrypt, encode_message, encrypt
-from .complexcheck import (
-    ComplexBackend,
-    cardano_d,
-    resolvent_r,
-    split_roots_numeric,
-    verify_halving_numeric,
-)
-from .curves import (
-    INFINITY,
-    Curve,
-    Point,
-    PointNotOnCurveError,
-    SingularCurveError,
-    depress_shift,
-    two_torsion,
-)
-from .exact import isqrt_exact, rational_roots_cubic, rational_sqrt
-from .extfield import (
-    ExtElem,
-    ExtField,
-    TowerElem,
-    TowerField,
-    choose_nonresidue,
-    ext_sqrt,
-    frobenius,
-    in_base_field,
-    project_to_fp,
-    sqrt_in_tower,
-)
-from .halving import (
-    ProductSqrtData,
-    RootTriple,
-    SqrtTriple,
-    candidate_xs,
-    candidate_xs_products,
-    halve_point,
-    meeting_x,
-    recover_y,
-    root_triple_a24,
-    root_triple_a46,
-    root_triple_from_roots,
-    sqrt_triple,
-)
-from .halving_fp import (
-    BRUTE_FORCE_LIMIT,
-    FpHalvingField,
-    brute_force_halves,
-    enumerate_points,
-    group_order_bf,
-    halve_over_fp,
-    halve_via_order,
-)
-from .halving_q import (
-    HalvabilityResult,
-    SplitCurveQ,
-    congruent_curve,
-    is_halvable_q,
-    rational_halves,
-)
-from .primefield import (
-    FpElem,
-    PrimeField,
-    cubic_roots_fp,
-    first_nonresidue,
-    fp_sqrt,
-    legendre,
-    tonelli_shanks,
-)
+from .complexcheck import ComplexBackend, verify_halving_numeric
+from .curves import INFINITY, Curve, Point, PointNotOnCurveError, SingularCurveError
+from .halving import meeting_x
+from .halving_fp import FpHalvingField, brute_force_halves, group_order_bf, halve_via_order
+from .halving_q import SplitCurveQ, congruent_curve, is_halvable_q, rational_halves
+from .primefield import PrimeField
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BRUTE_FORCE_LIMIT",
     "CodecParams",
     "ComplexBackend",
     "Curve",
-    "ExtElem",
-    "ExtField",
-    "FpElem",
     "FpHalvingField",
-    "HalvabilityResult",
     "INFINITY",
     "Point",
     "PointNotOnCurveError",
     "PrimeField",
-    "ProductSqrtData",
-    "RootTriple",
     "SingularCurveError",
     "SplitCurveQ",
-    "SqrtTriple",
-    "TowerElem",
-    "TowerField",
     "brute_force_halves",
-    "candidate_xs",
-    "candidate_xs_products",
-    "cardano_d",
-    "choose_nonresidue",
     "congruent_curve",
-    "cubic_roots_fp",
     "decode_message",
     "decrypt",
-    "depress_shift",
     "encode_message",
     "encrypt",
-    "enumerate_points",
-    "ext_sqrt",
-    "first_nonresidue",
-    "fp_sqrt",
-    "frobenius",
     "group_order_bf",
-    "halve_over_fp",
-    "halve_point",
     "halve_via_order",
-    "in_base_field",
     "is_halvable_q",
-    "isqrt_exact",
-    "legendre",
     "meeting_x",
-    "project_to_fp",
     "rational_halves",
-    "rational_roots_cubic",
-    "rational_sqrt",
-    "recover_y",
-    "resolvent_r",
-    "root_triple_a24",
-    "root_triple_a46",
-    "root_triple_from_roots",
-    "split_roots_numeric",
-    "sqrt_in_tower",
-    "sqrt_triple",
-    "tonelli_shanks",
-    "two_torsion",
     "verify_halving_numeric",
 ]

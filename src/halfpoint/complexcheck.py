@@ -1,10 +1,12 @@
-"""Floating complex backend: the closed-form radical construction of a
-root of the 2-division cubic, exercised literally, plus a numeric
-validator that halves a point and doubles the results back.
+"""The halving formulas over the complex numbers, in double precision:
+the closed-form radical construction of a root of the 2-division cubic,
+exercised literally, plus a numeric validator that halves a point and
+doubles the results back.
 
-This backend exists to validate the formulas in double precision, not to
-certify results; branch cuts of the principal square and cube roots are
-the whole subtlety here.
+This exists to validate the formulas, not to certify results: a half is
+judged by a relative residual, never by an exact 2Q == P, so the exact
+engine ``halving.halve_point`` is not run over C.  Branch cuts of the
+principal square and cube roots are the whole subtlety here.
 """
 
 import cmath
@@ -67,7 +69,12 @@ def split_roots_numeric(a4, a6):
 
 
 class ComplexBackend:
-    """Engine backend over complex doubles; square roots are total."""
+    """The roots of the 2-division cubic over C, for the formulas in ``halving``.
+
+    Only ``root_triple`` is provided: halving over C is the formulas plus a
+    residual (``verify_halving_numeric``), not ``halving.halve_point``,
+    whose exact check 2Q == P never holds in floating point.
+    """
 
     @staticmethod
     def root_triple(curve):
@@ -76,26 +83,6 @@ class ComplexBackend:
         if not curve.a6:
             return root_triple_a24(complex(curve.a2), complex(curve.a4), cmath.sqrt)
         raise ValueError("numeric backend expects a2 = 0 or a6 = 0; shift the curve first")
-
-    @staticmethod
-    def sqrt(x):
-        return cmath.sqrt(x)
-
-    sqrt_total = sqrt
-
-    @staticmethod
-    def lift(x):
-        return complex(x)
-
-    @staticmethod
-    def retract(x):
-        return x
-
-    @staticmethod
-    def two_torsion(curve):
-        from .curves import two_torsion
-
-        return two_torsion(curve)
 
 
 def _rel_residual(Q, P):

@@ -162,6 +162,31 @@ class Curve:
         return f"Curve(a2={self.a2!r}, a4={self.a4!r}, a6={self.a6!r})"
 
 
+def _complex_cubic_roots(a2, a4, a6):
+    """The three roots of x^3 + a2*x^2 + a4*x + a6 over C, by Durand-Kerner.
+
+    Each sweep moves every estimate z by -f(z) / ((z - u)(z - v)), u and v
+    the other two estimates; the start is a circle of the Cauchy bound
+    1 + max |a_i|.  Convergence is quadratic at simple roots, so one sweep
+    after the steps fall below 1e-12 reaches rounding level.
+    """
+    c2, c4, c6 = complex(a2), complex(a4), complex(a6)
+    radius = 1 + max(abs(c2), abs(c4), abs(c6))
+    zs = [radius * (0.4 + 0.9j) ** k for k in range(3)]
+    settled = False
+    for _ in range(100):  # bounds the linear convergence at a repeated root
+        moved = 0.0
+        for i in range(3):
+            z, u, v = zs[i], zs[i - 1], zs[i - 2]
+            step = (((z + c2) * z + c4) * z + c6) / ((z - u) * (z - v))
+            zs[i] = z - step
+            moved = max(moved, abs(step) / (1 + abs(z)))
+        if settled:
+            break
+        settled = moved <= 1e-12
+    return zs
+
+
 def _cubic_roots_in_field(curve):
     # roots of the right-hand cubic in the curve's own coefficient field
     a2, a4, a6 = curve.a2, curve.a4, curve.a6
@@ -169,10 +194,7 @@ def _cubic_roots_in_field(curve):
         roots, _ = cubic_roots_fp(a2, a4, a6)
         return sorted(roots, key=int)
     if isinstance(a4, (complex, float)):
-        import numpy
-
-        roots = numpy.roots([1.0, complex(a2), complex(a4), complex(a6)])
-        return sorted((complex(r) for r in roots), key=lambda z: (z.real, z.imag))
+        return sorted(_complex_cubic_roots(a2, a4, a6), key=lambda z: (z.real, z.imag))
     return sorted(rational_roots_cubic(Fraction(a2), Fraction(a4), Fraction(a6)))
 
 

@@ -4,11 +4,15 @@ Given P = (x0, y0) on y^2 = x^3 + a2*x^2 + a4*x + a6, the x-coordinates
 of every Q with 2Q = P are built from the roots e0, e1, e2 of the
 right-hand cubic and from square roots of the three differences
 x0 - e_i.  A backend supplies those roots and square roots (exact over
-the rationals, extension-field over F_p, floating over the complex
-numbers); everything in this module is pure algebra on top of that.
+the rationals, extension-field over F_p); everything in this module is
+pure algebra on top of that.  ``halve_point`` is the one loop that turns
+them into verified halves, over Q and over F_p alike; the complex numbers
+use the formulas directly (``complexcheck``), since an exact ``2Q == P``
+never holds in floating point.
 """
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .curves import INFINITY, Point
 
@@ -45,6 +49,19 @@ class SqrtTriple:
     def flipped(self, s0, s1, s2):
         """The same triple with signs flipped per the +/-1 pattern given."""
         return SqrtTriple(s0 * self.gamma, s1 * self.alpha, s2 * self.beta)
+
+
+class HalvingTrace(NamedTuple):
+    """How ``halve_point`` reached its halves (immutable).
+
+    ``sqrt`` is the square-root triple (None when P is at infinity or a
+    difference has no root), ``base_xs`` the four candidates' x in the
+    base field, None for one outside it (the tuple is None when no
+    candidates were formed).
+    """
+
+    sqrt: SqrtTriple | None
+    base_xs: tuple | None
 
 
 @dataclass(frozen=True)
@@ -176,25 +193,34 @@ def recover_y(curve, x_half, P, sqrt_fn):
     return out
 
 
-def halve_point(curve, P, backend):
+def halve_point(curve, P, backend, conjugates=(None, None)):
     """All Q in the backend's target field with 2Q = P, each verified by
-    doubling.  For P at infinity: infinity itself plus the order-2 points."""
-    curve.validate()
+    doubling, and the ``HalvingTrace`` of how they were found.  For P at
+    infinity: infinity itself plus the order-2 points.
+
+    The curve must be nonsingular: ``SplitCurveQ`` and ``FpHalvingField``
+    check that once when they are built, not per point.  ``conjugates`` is
+    passed on to ``sqrt_triple``.
+
+    A backend is stateless and provides ``root_triple(curve)``, ``lift``
+    (base field -> the roots' field), ``retract`` (back, or None),
+    ``sqrt_total`` for the three differences, ``sqrt`` in the base field
+    (None for a non-square) and ``two_torsion(curve)``.
+    """
     if P is INFINITY:
-        return [INFINITY] + backend.two_torsion(curve)
+        return [INFINITY] + backend.two_torsion(curve), HalvingTrace(None, None)
     P = curve._norm(P)
     curve.require_point(P)
-    roots = backend.root_triple(curve)
     x0 = backend.lift(P.x)
-    sq = sqrt_triple(x0, roots, backend.sqrt_total)
+    sq = sqrt_triple(x0, backend.root_triple(curve), backend.sqrt_total, conjugates)
     if sq is None:
-        return []
+        return [], HalvingTrace(None, None)
+    base_xs = tuple(map(backend.retract, candidate_xs(x0, sq)))
     halves = []
     seen = set()
-    for xc in candidate_xs(x0, sq):
-        xt = backend.retract(xc)
+    for xt in base_xs:
         if xt is None or xt in seen:
             continue
         seen.add(xt)
         halves += recover_y(curve, xt, P, backend.sqrt)
-    return list(dict.fromkeys(halves))
+    return list(dict.fromkeys(halves)), HalvingTrace(sq, base_xs)

@@ -20,7 +20,15 @@ from .extfield import (
     project_to_fp,
     sqrt_in_tower,
 )
-from .halving import candidate_xs, recover_y, root_triple_from_roots, sqrt_triple
+# sqrt_triple, candidate_xs and recover_y are not called here: perfbench's
+# tracer patches them under this module's name as well
+from .halving import (
+    candidate_xs,
+    halve_point,
+    recover_y,
+    root_triple_from_roots,
+    sqrt_triple,
+)
 from .primefield import FpElem, PrimeField, cubic_roots_fp, fp_sqrt, legendre
 
 BRUTE_FORCE_LIMIT = 10 ** 4
@@ -60,7 +68,6 @@ class FpHalvingField:
         self.fp_roots = fp_roots
         self.factor_degrees = degrees
         self.extension_degree = lcm(*degrees)
-        self.tower_used = False
 
         # one square root per Frobenius orbit of the roots: sqrt_triple
         # takes alpha and beta as conjugates where e1 = e0^p and e2 = e1^p
@@ -108,7 +115,8 @@ class FpHalvingField:
     def sqrt(x):
         return fp_sqrt(x)
 
-    def sqrt_total(self, x):
+    @staticmethod
+    def sqrt_total(x):
         if isinstance(x, TowerElem):
             if not x.v:
                 x = x.u
@@ -120,7 +128,6 @@ class FpHalvingField:
         s = ext_sqrt(x)
         if s is not None:
             return s
-        self.tower_used = True
         return sqrt_in_tower(x)
 
     def two_torsion(self, curve=None):
@@ -130,32 +137,20 @@ class FpHalvingField:
 
     def halve_with_info(self, P):
         """Halve P and report how: factor degrees, tower use, candidate fate."""
-        self.tower_used = False
+        halves, trace = halve_point(self.curve, P, self, self._conjugates)
         info = {
             "factor_degrees": self.factor_degrees,
             "extension_degree": self.extension_degree,
         }
-        if P is INFINITY:
-            pts = [INFINITY] + self.two_torsion()
+        if trace.base_xs is None:
             info.update(candidates_in_base=None, tower_used=False)
-            return pts, info
-        P = self.curve._norm(P)
-        self.curve.require_point(P)
-        x0 = self.lift(P.x)
-        sq = sqrt_triple(x0, self.roots, self.sqrt_total, self._conjugates)
-        cands = candidate_xs(x0, sq)
-        in_base = [self.retract(xc) for xc in cands]
-        halves, seen = [], set()
-        for xt in in_base:
-            if xt is None or xt in seen:
-                continue
-            seen.add(xt)
-            halves += recover_y(self.curve, xt, P, fp_sqrt)
-        halves = list(dict.fromkeys(halves))
+            return halves, info
+        in_base = [x for x in trace.base_xs if x is not None]
+        sq = trace.sqrt
         info.update(
-            candidates_in_base=sum(x is not None for x in in_base),
-            candidate_base_xs=[x for x in in_base if x is not None],
-            tower_used=self.tower_used,
+            candidates_in_base=len(in_base),
+            candidate_base_xs=in_base,
+            tower_used=TowerElem in (type(sq.gamma), type(sq.alpha), type(sq.beta)),
         )
         return halves, info
 

@@ -118,7 +118,7 @@ def rational_halves(split, P):
 
     For P at infinity this is infinity plus the three order-2 points.
     """
-    return halve_point(split.curve, P, _QBackend(split))
+    return halve_point(split.curve, P, _QBackend(split))[0]
 
 
 def congruent_curve(n):

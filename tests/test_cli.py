@@ -176,3 +176,10 @@ def test_domain_exit_codes(capsys):
     # point off the curve
     assert invoke(capsys, "halve-fp", "--p", "11", "--a4", "1", "--a6", "2",
                   "--x", "8", "--y", "5")[0] == 1
+
+
+def test_halve_fp_refuses_curve_singular_mod_p(capsys):
+    # x^3 - 3x + 2 = (x - 1)^2 (x + 2); (2, 2) satisfies it mod 11
+    code, out, err = invoke(capsys, "halve-fp", "--p", "11", "--a4", "-3", "--a6", "2",
+                            "--x", "2", "--y", "2")
+    assert code == 1 and "singular" in err and out == ""

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -169,3 +170,58 @@ def test_complex_contains_is_tolerant():
     assert not curve.exact
     assert curve.contains(Point(6.25, -4.375 + 1e-12))
     assert not curve.contains(Point(6.25, -4.2))
+
+
+def _cubic_through(roots):
+    # coefficients of (x - r0)(x - r1)(x - r2), complex unless the roots
+    # are real or a conjugate pair with a real third
+    r0, r1, r2 = roots
+    coeffs = (-(r0 + r1 + r2), r0 * r1 + r1 * r2 + r2 * r0, -(r0 * r1 * r2))
+    if all(abs(c.imag) == 0 for c in map(complex, coeffs)):
+        coeffs = tuple(complex(c).real for c in coeffs)
+    return Curve(*coeffs)
+
+
+def _assert_same_roots(got, want, rel=1e-12):
+    # multisets: sorting by (real, imag) puts tied real parts in either order
+    scale = max(1.0, *(abs(w) for w in want))
+    left = list(got)
+    assert len(left) == len(want)
+    for w in want:
+        nearest = min(left, key=lambda g: abs(g - w))
+        assert abs(nearest - w) <= rel * scale, (got, want)
+        left.remove(nearest)
+
+
+def test_two_torsion_over_c_recovers_known_roots():
+    cases = [
+        (2.0, 1 + 3j, 1 - 3j),  # conjugate pair: real coefficients
+        (-6.0, 0.0, 6.0),
+        (1 + 2j, -0.5 + 1j, 3 - 4j),
+        (1e3, -2e3j, 5.0),
+        (0.25j, -0.25j, 0.5),  # conjugate pair, tied real parts
+    ]
+    rng = random.Random(11)
+    for _ in range(200):
+        r0 = complex(rng.uniform(-20, 20), rng.uniform(-20, 20))
+        r1 = complex(rng.uniform(-20, 20), rng.uniform(0.5, 20))
+        cases.append((r0, r1, r1.conjugate()) if rng.random() < 0.5 else
+                     (r0, r1, complex(rng.uniform(-20, 20), rng.uniform(-20, 20))))
+    for roots in cases:
+        curve = _cubic_through(roots)
+        pts = two_torsion(curve)
+        assert all(T.y == 0 for T in pts)
+        _assert_same_roots([T.x for T in pts], roots)
+        # the promised order: ascending real part, then imaginary part
+        xs = [T.x for T in pts]
+        assert all(a.real <= b.real for a, b in zip(xs, xs[1:]))
+
+
+def test_depress_shift_general_complex_curve():
+    curve = Curve(1 + 2j, 3 - 1j, 2 + 0.5j)
+    shifted, s = depress_shift(curve)
+    assert abs(curve.rhs(s)) <= 1e-12 * (1 + abs(s) ** 3)
+    assert abs(shifted.a6) <= 1e-12 * (1 + abs(s) ** 3)
+    assert abs(shifted.a2 - (curve.a2 + 3 * s)) <= 1e-12 * (1 + abs(s))
+    for x in (0, 1.5, -2 + 1j, 3j, 4 - 4j):
+        assert abs(curve.rhs(x) - shifted.rhs(x - s)) <= 1e-12 * (1 + abs(x) ** 3 + abs(s) ** 3)

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from halfpoint.curves import INFINITY, Curve, Point
-from halfpoint.extfield import ext_sqrt
-from halfpoint.halving import candidate_xs_products, sqrt_triple
+from halfpoint.curves import INFINITY, Curve, Point, SingularCurveError
+from halfpoint.extfield import ext_sqrt, project_to_fp, sqrt_in_tower
+from halfpoint.halving import candidate_xs, candidate_xs_products, recover_y, sqrt_triple
 from halfpoint.halving_fp import (
     BRUTE_FORCE_LIMIT,
     FpHalvingField,
@@ -213,16 +213,14 @@ def _needs_tower(ctx, x):
 
 def _orbit_matches_three_roots(ctx, twin, P):
     x0 = ctx.lift(P.x)
-    ctx.tower_used = False
     orbit = sqrt_triple(x0, ctx.roots, ctx.sqrt_total, ctx._conjugates)
-    orbit_tower = ctx.tower_used
-    ctx.tower_used = False
     three = sqrt_triple(x0, ctx.roots, ctx.sqrt_total)
     assert orbit == three
     assert [type(r) for r in vars(orbit).values()] == [type(r) for r in vars(three).values()]
-    assert orbit_tower == ctx.tower_used == _needs_tower(ctx, P.x)
-    assert ctx.halve_with_info(P) == twin.halve_with_info(P)
-    return orbit_tower
+    got, want = ctx.halve_with_info(P), twin.halve_with_info(P)
+    assert got[1]["tower_used"] == want[1]["tower_used"] == _needs_tower(ctx, P.x)
+    assert got == want
+    return got[1]["tower_used"]
 
 
 @settings(max_examples=60, deadline=None)
@@ -252,3 +250,104 @@ def test_orbit_roots_exhaustive_small_primes(p):
             if P is not INFINITY:
                 climbed += _orbit_matches_three_roots(ctx, twin, P)
     assert climbed  # some D = 2 point took its alpha and beta in the tower
+
+
+# -- the F_p loop that halving.halve_point replaced ------------------------------
+
+
+def _halve_with_info_reference(ctx, P):
+    """The former ``FpHalvingField.halve_with_info`` loop, its tower flag
+    kept in a local instead of on the context."""
+    tower_used = False
+
+    def sqrt_total(x):
+        nonlocal tower_used
+        s = ext_sqrt(x)
+        if s is not None:
+            return s
+        tower_used = True
+        return sqrt_in_tower(x)
+
+    info = {
+        "factor_degrees": ctx.factor_degrees,
+        "extension_degree": ctx.extension_degree,
+    }
+    if P is INFINITY:
+        pts = [INFINITY] + ctx.two_torsion()
+        info.update(candidates_in_base=None, tower_used=False)
+        return pts, info
+    P = ctx.curve._norm(P)
+    ctx.curve.require_point(P)
+    x0 = ctx.lift(P.x)
+    sq = sqrt_triple(x0, ctx.roots, sqrt_total, ctx._conjugates)
+    cands = candidate_xs(x0, sq)
+    in_base = [project_to_fp(xc) for xc in cands]
+    halves, seen = [], set()
+    for xt in in_base:
+        if xt is None or xt in seen:
+            continue
+        seen.add(xt)
+        halves += recover_y(ctx.curve, xt, P, fp_sqrt)
+    halves = list(dict.fromkeys(halves))
+    info.update(
+        candidates_in_base=sum(x is not None for x in in_base),
+        candidate_base_xs=[x for x in in_base if x is not None],
+        tower_used=tower_used,
+    )
+    return halves, info
+
+
+def _matches_reference(ctx, P):
+    got = ctx.halve_with_info(P)
+    assert got == _halve_with_info_reference(ctx, P)
+    return got[1]["tower_used"]
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def test_halve_with_info_matches_former_loop_on_every_point(p):
+    for degree in (1, 2, 3):
+        ctx, _ = _orbit_contexts(p, degree)
+        for P in enumerate_points(p, ctx.curve):
+            _matches_reference(ctx, P)
+
+
+@pytest.mark.parametrize("p", ORBIT_PRIMES[-4:])
+def test_halve_with_info_matches_former_loop_at_benchmark_primes(p):
+    rng = random.Random(p)
+    climbed = 0
+    for degree in (1, 2, 3):
+        ctx, _ = _orbit_contexts(p, degree)
+        fp, curve = ctx.fp, ctx.curve
+        found = 0
+        while found < 6:
+            x = fp(rng.randrange(p))
+            y = fp_sqrt(curve.rhs(x))
+            if y is None:
+                continue
+            found += 1
+            R = Point(x, y)
+            climbed += _matches_reference(ctx, R)
+            _matches_reference(ctx, curve.double(R))  # halvable by construction
+        _matches_reference(ctx, INFINITY)
+    assert climbed
+
+
+def test_halving_leaves_the_context_unchanged():
+    # D = 1 over F_11: (8, 4) halves without the tower, (1, 2) climbs it
+    ctx = FpHalvingField(11, Curve(0, 1, 2))
+    before = dict(vars(ctx))
+    assert not _matches_reference(ctx, Point(8, 4))
+    assert vars(ctx) == before
+    assert _matches_reference(ctx, Point(1, 2))
+    assert vars(ctx) == before
+    assert not hasattr(ctx, "tower_used")
+
+
+def test_singular_curve_mod_p_is_refused():
+    # x^3 - 3x + 2 = (x - 1)^2 (x + 2) is singular over every field; (2, 2)
+    # satisfies it mod 11
+    curve = Curve(0, -3, 2)
+    with pytest.raises(SingularCurveError):
+        FpHalvingField(11, curve)
+    with pytest.raises(SingularCurveError):
+        halve_over_fp(11, curve, Point(2, 2))
