@@ -10,7 +10,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .exact import rational_roots_cubic
-from .primefield import FpElem, cubic_roots_fp
+from .primefield import PrimeField, cubic_roots_fp
 
 
 class SingularCurveError(ValueError):
@@ -38,30 +38,36 @@ class Point(NamedTuple):
 
 
 class Curve:
-    """A nonsingular curve in one of three shapes: a2 = 0, a6 = 0, or general."""
+    """A nonsingular curve in one of three shapes: a2 = 0, a6 = 0, or general.
 
-    __slots__ = ("a2", "a4", "a6", "exact")
+    ``field`` is the constructor of the one field that the coefficients and
+    every point's coordinates live in: the ``.field`` of the first
+    coefficient that has one (a ``PrimeField`` or an ``ExtField``), else
+    ``complex`` or ``float`` if any coefficient is one, else ``Fraction``.
+    All three coefficients pass through it, and so do the coordinates of a
+    point given to ``add``, ``double`` or ``scalar_mul``; a value the field
+    does not take (1/2 mod p, say) raises there.  ``exact`` is False for
+    the floating-point fields.
+    """
+
+    __slots__ = ("a2", "a4", "a6", "field", "exact")
 
     def __init__(self, a2, a4, a6):
-        if all(isinstance(c, (int, Fraction)) for c in (a2, a4, a6)):
-            a2, a4, a6 = Fraction(a2), Fraction(a4), Fraction(a6)
-        else:
-            # plain ints ride along in the field of the other coefficients
-            anchor = next(c for c in (a2, a4, a6) if not isinstance(c, (int, Fraction)))
-            zero = anchor * 0
-            a2, a4, a6 = (zero + c if isinstance(c, int) else c for c in (a2, a4, a6))
-        self.a2 = a2
-        self.a4 = a4
-        self.a6 = a6
-        self.exact = not any(isinstance(c, (complex, float)) for c in (a2, a4, a6))
+        coeffs = (a2, a4, a6)
+        field = next((c.field for c in coeffs if hasattr(c, "field")), None)
+        if field is None:
+            kinds = set(map(type, coeffs))
+            field = complex if complex in kinds else float if float in kinds else Fraction
+        self.a2, self.a4, self.a6 = map(field, coeffs)
+        self.field = field
+        self.exact = field not in (complex, float)
 
     def _norm(self, P):
-        # pull plain-int coordinates into the coefficient field, so the
-        # chord slope below never falls back to float division
+        # coordinates into the coefficient field, so the chord slope below
+        # never falls back to float division or mixes two fields
         if P is INFINITY:
             return P
-        z = self.a4 * 0
-        return Point(z + P.x, z + P.y)
+        return Point(self.field(P.x), self.field(P.y))
 
     @property
     def form(self):
@@ -190,12 +196,12 @@ def _complex_cubic_roots(a2, a4, a6):
 def _cubic_roots_in_field(curve):
     # roots of the right-hand cubic in the curve's own coefficient field
     a2, a4, a6 = curve.a2, curve.a4, curve.a6
-    if isinstance(a4, FpElem):
+    if isinstance(curve.field, PrimeField):
         roots, _ = cubic_roots_fp(a2, a4, a6)
         return sorted(roots, key=int)
-    if isinstance(a4, (complex, float)):
+    if not curve.exact:
         return sorted(_complex_cubic_roots(a2, a4, a6), key=lambda z: (z.real, z.imag))
-    return sorted(rational_roots_cubic(Fraction(a2), Fraction(a4), Fraction(a6)))
+    return sorted(rational_roots_cubic(a2, a4, a6))
 
 
 def two_torsion(curve):
@@ -217,9 +223,9 @@ def depress_shift(curve):
         return curve, a2 * 0
     roots = _cubic_roots_in_field(curve)
     if roots:
-        s = roots[0]
-        shifted = Curve(a2 + 3 * s, 3 * s * s + 2 * a2 * s + a4, curve.rhs(s))
+        # exactly 0, where rhs(s) of a floating-point root would be ~1e-16
+        s, shifted_a6 = roots[0], 0
     else:
         s = -a2 / 3
-        shifted = Curve(a2 + 3 * s, 3 * s * s + 2 * a2 * s + a4, curve.rhs(s))
-    return shifted, s
+        shifted_a6 = curve.rhs(s)
+    return Curve(a2 + 3 * s, 3 * s * s + 2 * a2 * s + a4, shifted_a6), s

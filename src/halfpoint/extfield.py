@@ -113,7 +113,7 @@ class ExtField:
         if isinstance(value, int):
             coeffs = [value % self.p] + [0] * (self.degree - 1)
         else:
-            coeffs = [c % self.p for c in value]
+            coeffs = [self.base(c).value for c in value]
             if len(coeffs) > self.degree:
                 raise ValueError("coefficient vector longer than the degree")
             coeffs += [0] * (self.degree - len(coeffs))

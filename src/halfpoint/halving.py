@@ -193,34 +193,35 @@ def recover_y(curve, x_half, P, sqrt_fn):
     return out
 
 
-def halve_point(curve, P, backend, conjugates=(None, None)):
-    """All Q in the backend's target field with 2Q = P, each verified by
+def halve_point(ctx, P):
+    """All Q in the context's target field with 2Q = P, each verified by
     doubling, and the ``HalvingTrace`` of how they were found.  For P at
     infinity: infinity itself plus the order-2 points.
 
-    The curve must be nonsingular: ``SplitCurveQ`` and ``FpHalvingField``
-    check that once when they are built, not per point.  ``conjugates`` is
-    passed on to ``sqrt_triple``.
-
-    A backend is stateless and provides ``root_triple(curve)``, ``lift``
-    (base field -> the roots' field), ``retract`` (back, or None),
-    ``sqrt_total`` for the three differences, ``sqrt`` in the base field
-    (None for a non-square) and ``two_torsion(curve)``.
+    The context is a backend for one curve (``SplitCurveQ`` over Q,
+    ``FpHalvingField`` over F_p).  It holds ``curve``, nonsingular and
+    checked once when the context was built, ``roots``, the root triple
+    of its cubic, and ``_conjugates``, the pair passed on to
+    ``sqrt_triple``.  It provides ``lift`` (base field -> the roots'
+    field), ``retract`` (back, or None), ``sqrt_total`` for the three
+    differences, ``sqrt`` in the base field (None for a non-square) and
+    ``two_torsion()``, and it writes no state during a call.
     """
     if P is INFINITY:
-        return [INFINITY] + backend.two_torsion(curve), HalvingTrace(None, None)
+        return [INFINITY] + ctx.two_torsion(), HalvingTrace(None, None)
+    curve = ctx.curve
     P = curve._norm(P)
     curve.require_point(P)
-    x0 = backend.lift(P.x)
-    sq = sqrt_triple(x0, backend.root_triple(curve), backend.sqrt_total, conjugates)
+    x0 = ctx.lift(P.x)
+    sq = sqrt_triple(x0, ctx.roots, ctx.sqrt_total, ctx._conjugates)
     if sq is None:
         return [], HalvingTrace(None, None)
-    base_xs = tuple(map(backend.retract, candidate_xs(x0, sq)))
+    base_xs = tuple(map(ctx.retract, candidate_xs(x0, sq)))
     halves = []
     seen = set()
     for xt in base_xs:
         if xt is None or xt in seen:
             continue
         seen.add(xt)
-        halves += recover_y(curve, xt, P, backend.sqrt)
+        halves += recover_y(curve, xt, P, ctx.sqrt)
     return list(dict.fromkeys(halves)), HalvingTrace(sq, base_xs)

@@ -29,21 +29,15 @@ from .halving import (
     root_triple_from_roots,
     sqrt_triple,
 )
-from .primefield import FpElem, PrimeField, cubic_roots_fp, fp_sqrt, legendre
+from .primefield import PrimeField, cubic_roots_fp, fp_sqrt, legendre
 
 BRUTE_FORCE_LIMIT = 10 ** 4
 
 
 def _coerce_curve(p, curve):
-    fp = PrimeField(p)
-    if isinstance(curve.a4, FpElem):
-        if curve.a4.field.p != p:
-            raise ValueError("curve coefficients use a different modulus")
-        return fp, curve
-    coeffs = (curve.a2, curve.a4, curve.a6)
-    if any(getattr(c, "denominator", 1) != 1 for c in coeffs):
-        raise ValueError("curve coefficients must be integers mod p")
-    return fp, Curve(*(fp(int(c)) for c in coeffs))
+    # the curve over F_p, and F_p as its field
+    curve = Curve(*map(PrimeField(p), (curve.a2, curve.a4, curve.a6)))
+    return curve.field, curve
 
 
 def _conjugate_root(r):
@@ -101,9 +95,6 @@ class FpHalvingField:
 
     # -- backend protocol for the halving engine ------------------------------
 
-    def root_triple(self, curve):
-        return self.roots
-
     def lift(self, x):
         return self.extension(x)
 
@@ -130,14 +121,14 @@ class FpHalvingField:
             return s
         return sqrt_in_tower(x)
 
-    def two_torsion(self, curve=None):
+    def two_torsion(self):
         return [Point(r, self.fp(0)) for r in self.fp_roots]
 
     # -- halving ---------------------------------------------------------------
 
     def halve_with_info(self, P):
         """Halve P and report how: factor degrees, tower use, candidate fate."""
-        halves, trace = halve_point(self.curve, P, self, self._conjugates)
+        halves, trace = halve_point(self, P)
         info = {
             "factor_degrees": self.factor_degrees,
             "extension_degree": self.extension_degree,

@@ -19,10 +19,15 @@ class SplitCurveQ:
     """A rational curve whose order-2 x-coordinates e0, e1, e2 are all known.
 
     e0 plays the role of the distinguished root in the halving formulas;
-    the coefficient form is recovered through Vieta.
+    the coefficient form is recovered through Vieta.  The root triple is
+    built once, and the object is the halving engine's backend over Q
+    (see ``halving.halve_point``): every square root is a rational one,
+    so nothing is lifted, retracted or taken as a conjugate.
     """
 
-    __slots__ = ("e0", "e1", "e2", "curve")
+    __slots__ = ("e0", "e1", "e2", "curve", "roots")
+
+    _conjugates = (None, None)
 
     def __init__(self, e0, e1, e2):
         e0, e1, e2 = Fraction(e0), Fraction(e1), Fraction(e2)
@@ -34,6 +39,7 @@ class SplitCurveQ:
             e0 * e1 + e1 * e2 + e2 * e0,
             -(e0 * e1 * e2),
         )
+        self.roots = root_triple_from_roots(e0, e1, e2)
 
     @classmethod
     def from_coefficients(cls, a2, a4, a6):
@@ -44,20 +50,9 @@ class SplitCurveQ:
         return cls(*roots)
 
     def root_triple(self):
-        return root_triple_from_roots(self.e0, self.e1, self.e2)
+        return self.roots
 
-    def __repr__(self):
-        return f"SplitCurveQ(e0={self.e0}, e1={self.e1}, e2={self.e2})"
-
-
-class _QBackend:
-    """Field backend over the rationals for the halving engine."""
-
-    def __init__(self, split):
-        self.split = split
-
-    def root_triple(self, curve):
-        return self.split.root_triple()
+    # -- backend protocol for the halving engine ------------------------------
 
     @staticmethod
     def sqrt(x):
@@ -69,12 +64,13 @@ class _QBackend:
     def lift(x):
         return x
 
-    @staticmethod
-    def retract(x):
-        return x
+    retract = lift
 
-    def two_torsion(self, curve):
-        return [Point(e, Fraction(0)) for e in sorted((self.split.e0, self.split.e1, self.split.e2))]
+    def two_torsion(self):
+        return [Point(e, Fraction(0)) for e in sorted((self.e0, self.e1, self.e2))]
+
+    def __repr__(self):
+        return f"SplitCurveQ(e0={self.e0}, e1={self.e1}, e2={self.e2})"
 
 
 @dataclass(frozen=True)
@@ -118,7 +114,7 @@ def rational_halves(split, P):
 
     For P at infinity this is infinity plus the three order-2 points.
     """
-    return halve_point(split.curve, P, _QBackend(split))[0]
+    return halve_point(split, P)[0]
 
 
 def congruent_curve(n):

@@ -10,6 +10,7 @@ Primality of the modulus is the caller's contract; it is never verified.
 """
 
 import random
+from fractions import Fraction
 
 # random draws cubic_roots_fp makes to split a cubic with three roots; a
 # draw splits it with probability about 3/4, so running out means the
@@ -30,11 +31,22 @@ class PrimeField:
         self._ts_powers = None  # (z, q, c^(2^i) for c = z^s), filled by tonelli_shanks
 
     def __call__(self, value):
+        """The element of F_p that ``value`` stands for.
+
+        This is the one way into F_p: an FpElem of the same modulus is
+        returned as it is, an int or an integral Fraction is reduced mod p,
+        and anything else (a non-integral Fraction, a float, a string, an
+        element of another field) raises ValueError.
+        """
+        if type(value) is int:
+            return FpElem(self, value % self.p)
         if isinstance(value, FpElem):
             if value.field.p != self.p:
                 raise ValueError("element belongs to a different field")
             return value
-        return FpElem(self, value % self.p)
+        if not isinstance(value, (int, Fraction)) or value.denominator != 1:
+            raise ValueError(f"{value!r} is not an integer mod {self.p}")
+        return FpElem(self, value.numerator % self.p)
 
     def zero(self):
         return FpElem(self, 0)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from halfpoint.complexcheck import ComplexBackend
 from halfpoint.curves import (
     INFINITY,
     Curve,
@@ -225,3 +226,15 @@ def test_depress_shift_general_complex_curve():
     assert abs(shifted.a2 - (curve.a2 + 3 * s)) <= 1e-12 * (1 + abs(s))
     for x in (0, 1.5, -2 + 1j, 3j, 4 - 4j):
         assert abs(curve.rhs(x) - shifted.rhs(x - s)) <= 1e-12 * (1 + abs(x) ** 3 + abs(s) ** 3)
+
+
+@pytest.mark.parametrize("curve", [Curve(1 + 2j, 3 - 1j, 2 + 0.5j), Curve(-6.0, 11.0, -6.0)])
+def test_depress_shift_over_c_reaches_a24(curve):
+    # the shift s is a root, so the shifted a6 is exactly zero
+    shifted, s = depress_shift(curve)
+    assert shifted.a6 == 0 and shifted.form == "A24"
+    roots = ComplexBackend.root_triple(shifted)
+    for e in (roots.e0, roots.e1, roots.e2):
+        x = e + s
+        scale = abs(x) ** 3 + abs(curve.a2 * x * x) + abs(curve.a4 * x) + abs(curve.a6)
+        assert abs(curve.rhs(x)) <= 1e-12 * scale

@@ -351,3 +351,50 @@ def test_singular_curve_mod_p_is_refused():
         FpHalvingField(11, curve)
     with pytest.raises(SingularCurveError):
         halve_over_fp(11, curve, Point(2, 2))
+
+
+# -- the quadratic tower never yields an F_p half --------------------------------
+#
+# If Q in E(F_p) and 2Q = P != O, then x0 - e_i equals
+# [((x_Q - e_i)^2 - (e_i - e_j)(e_i - e_k)) / 2y_Q]^2, a square in F_{p^D}.
+# So a point that climbs the tower has no half, and (by the halving
+# criterion, checked here) a point with no half climbs it.
+
+
+def _tower_iff_no_half(ctx, P):
+    halves, info = ctx.halve_with_info(P)
+    assert info["tower_used"] == (halves == []), P
+    return info["tower_used"]
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def test_tower_used_exactly_when_no_half_on_every_point(p):
+    fp = PrimeField(p)
+    climbed = 0
+    for a2 in (0, 1):
+        for a4 in range(p):
+            for a6 in range(p):
+                if not Curve(fp(a2), fp(a4), fp(a6)).discriminant():
+                    continue
+                ctx = FpHalvingField(p, Curve(a2, a4, a6))
+                for P in enumerate_points(p, ctx.curve):
+                    climbed += _tower_iff_no_half(ctx, P)
+    assert climbed
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(ORBIT_PRIMES[-4:]), st.sampled_from((1, 2, 3)), st.integers(0, 2**255))
+def test_tower_used_exactly_when_no_half_at_benchmark_primes(p, degree, x):
+    ctx, _ = _orbit_contexts(p, degree)
+    fp, curve = ctx.fp, ctx.curve
+    for i in range(64):
+        xi = fp(x + i)
+        y = fp_sqrt(curve.rhs(xi))
+        if y is not None:
+            break
+    else:
+        assume(False)
+    R = Point(xi, y)
+    _tower_iff_no_half(ctx, R)
+    assert not _tower_iff_no_half(ctx, curve.double(R))
+
