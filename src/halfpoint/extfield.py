@@ -102,21 +102,26 @@ class ExtField:
         return self.p ** self.degree
 
     def __call__(self, value):
+        """The element that ``value`` stands for.
+
+        An element of this field comes back as it is; a list or tuple is
+        a coefficient vector on 1, X, ..., X^(D-1); any other value is a
+        scalar.  Coefficients and scalars enter F_p through ``self.base``,
+        so an integral Fraction is taken and 0.5 raises ValueError.
+        """
         if isinstance(value, ExtElem):
             if value.field != self:
                 raise ValueError("element belongs to a different field")
             return value
-        if isinstance(value, FpElem):
-            if value.field.p != self.p:
-                raise ValueError("mixed characteristics")
-            value = value.value
-        if isinstance(value, int):
+        if type(value) is int:
             coeffs = [value % self.p] + [0] * (self.degree - 1)
-        else:
+        elif isinstance(value, (list, tuple)):
             coeffs = [self.base(c).value for c in value]
             if len(coeffs) > self.degree:
                 raise ValueError("coefficient vector longer than the degree")
             coeffs += [0] * (self.degree - len(coeffs))
+        else:
+            coeffs = [self.base(value).value] + [0] * (self.degree - 1)
         return ExtElem(self, tuple(coeffs))
 
     def zero(self):
@@ -520,7 +525,7 @@ def choose_nonresidue(field, seed=0):
     )
 
 
-def _quadratic_root(u, v, ns, sqrt):
+def _quadratic_root(u, v, ns, sqrt, norm_root=None):
     """(x, y) with (x + y*t)^2 = u + v*t, where t^2 = ns, or None when
     u + v*t is not a square of the quadratic extension.
 
@@ -528,23 +533,27 @@ def _quadratic_root(u, v, ns, sqrt):
     ``sqrt`` returns None on non-squares.  Costs two or three such roots
     and one inverse: with n = sqrt(u^2 - ns v^2), exactly one of (u +- n)/2
     is x^2, and y = v / 2x.  u^2 - ns v^2 is the norm to the field below,
-    so when it has no root u + v*t has none either.
+    so when it has no root u + v*t has none either.  ``norm_root``, when
+    given, is taken as n; if neither (u +- n)/2 is a square it is not a
+    root of the norm, and ArithmeticError is raised.
     """
     if not v:
         x = sqrt(u)
         if x is not None:
             return x, v
         return v, sqrt(u / ns)
-    n = sqrt(u * u - v * v * ns)
+    n = sqrt(u * u - v * v * ns) if norm_root is None else norm_root
     if n is None:
         return None
     x = sqrt((u + n) / 2)
     if x is None:
         x = sqrt((u - n) / 2)
+        if x is None:
+            raise ArithmeticError("the given root of the norm does not square to it")
     return x, v / (2 * x)
 
 
-def ext_sqrt(a):
+def ext_sqrt(a, *, _norm_root=None):
     """Canonical square root in the element's own field, or None.
 
     Works for ExtElem and TowerElem alike.  There is no separate
@@ -562,23 +571,32 @@ def ext_sqrt(a):
     * D = 3 takes sqrt(N(a)) in F_p, None if it has none, and divides it by
       (a^((p+1)/2))^p.
 
+    ``_norm_root``, an FpElem whose square is N(a) for a in F_{p^D}, is
+    used in place of that F_p root when the caller knows it already (the
+    halving engine does, from the point's y).  Either sign will do.  Every
+    route checks its root by squaring, so a wrong one raises
+    ArithmeticError and never gives a wrong root; an a in F_p inside
+    F_{p^2} takes its root from a itself and leaves it unused.
+
     The root is returned with its canonical sign (``_canon``).
     """
     if not a:
         return a
     field = a.field
-    if isinstance(a, ExtElem) and field.degree == 1:
-        r = fp_sqrt(field.base(a.coeffs[0]))
-        return None if r is None else field(r.value)
     if isinstance(a, TowerElem):
         root = _quadratic_root(a.u, a.v, field.ns, ext_sqrt)
         if root is None:
             return None
         r = TowerElem(field, *root)
+    elif field.degree == 1:
+        n = fp_sqrt(field.base(a.coeffs[0])) if _norm_root is None else _norm_root
+        if n is None:
+            return None
+        r = field(n.value)
     elif field.degree == 2:
         fp, (c, b, _) = field.base, field.modulus
         v = fp(a.coeffs[1]) / 2
-        root = _quadratic_root(fp(a.coeffs[0]) - v * b, v, fp(b * b - 4 * c), fp_sqrt)
+        root = _quadratic_root(fp(a.coeffs[0]) - v * b, v, fp(b * b - 4 * c), fp_sqrt, _norm_root)
         if root is None:
             return None
         x, y = root
@@ -586,7 +604,7 @@ def ext_sqrt(a):
     else:
         # m = 1 + p + p^2 is odd and a^m = N(a), so a = N(a) / (a^k)^2 with
         # k = (m - 1)/2 = p(p + 1)/2, and a^k is the Frobenius of a^((p+1)/2)
-        n = fp_sqrt(_norm(a))
+        n = fp_sqrt(_norm(a)) if _norm_root is None else _norm_root
         if n is None:
             return None
         r = field(n.value) / frobenius(a ** ((field.p + 1) // 2))

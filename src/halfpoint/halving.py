@@ -1,9 +1,9 @@
 """Core point-halving machinery, generic over a field backend.
 
-Given P = (x0, y0) on y^2 = x^3 + a2*x^2 + a4*x + a6, the x-coordinates
-of every Q with 2Q = P are built from the roots e0, e1, e2 of the
-right-hand cubic and from square roots of the three differences
-x0 - e_i.  A backend supplies those roots and square roots (exact over
+Given P = (x0, y0) on y^2 = x^3 + a2*x^2 + a4*x + a6, every Q with
+2Q = P is built from the roots e0, e1, e2 of the right-hand cubic and
+from square roots of the three differences x0 - e_i, its x and its y
+alike.  A backend supplies those roots and square roots (exact over
 the rationals, extension-field over F_p); everything in this module is
 pure algebra on top of that.  ``halve_point`` is the one loop that turns
 them into verified halves, over Q and over F_p alike; the complex numbers
@@ -102,7 +102,7 @@ def root_triple_a24(a2, a4, sqrt_fn):
     return RootTriple(zero, (-a2 + s) / 2, (-a2 - s) / 2, -a4)
 
 
-def sqrt_triple(x0, roots, sqrt_fn, conjugates=(None, None)):
+def sqrt_triple(x0, roots, sqrt_fn, conjugates=(None, None), y0=None):
     """Square roots of the three differences, or None if any is missing.
 
     ``conjugates`` may replace the square roots of alpha and beta: a map
@@ -110,18 +110,30 @@ def sqrt_triple(x0, roots, sqrt_fn, conjugates=(None, None)):
     this one.  Over F_p, when e1 = e0^p the difference x0 - e1 is the
     Frobenius image of x0 - e0, so alpha is +/- gamma^p; the map must then
     also apply the sign rule of ``sqrt_fn``.
+
+    ``y0`` is the y of the point at x0, if the caller has it.  The three
+    differences multiply to rhs(x0) = y0^2, so when y0 is nonzero the last
+    root that ``sqrt_fn`` takes, of the difference d, is taken as
+    ``sqrt_fn(d, y0, before)``, ``before`` the roots taken so far.  y0 over
+    their product squares to d times the differences whose roots the maps
+    take after it: to d alone when no map follows, to d's norm over F_p
+    when the maps are Frobenius images.  ``sqrt_fn`` may use that root or
+    ignore it.
     """
-    gamma = sqrt_fn(x0 - roots.e0)
-    if gamma is None:
-        return None
     to_alpha, to_beta = conjugates
-    alpha = sqrt_fn(x0 - roots.e1) if to_alpha is None else to_alpha(gamma)
-    if alpha is None:
-        return None
-    beta = sqrt_fn(x0 - roots.e2) if to_beta is None else to_beta(alpha)
-    if beta is None:
-        return None
-    return SqrtTriple(gamma, alpha, beta)
+    last = 2 if to_beta is None else 1 if to_alpha is None else 0
+    sq = []
+    for i, (e, to_root) in enumerate(zip((roots.e0, roots.e1, roots.e2), (None, *conjugates))):
+        if to_root is not None:
+            r = to_root(sq[-1])
+        elif i == last and y0:
+            r = sqrt_fn(x0 - e, y0, tuple(sq))
+        else:
+            r = sqrt_fn(x0 - e)
+        if r is None:
+            return None
+        sq.append(r)
+    return SqrtTriple(*sq)
 
 
 def candidate_xs(x0, sq):
@@ -173,18 +185,21 @@ def meeting_x(x0, roots):
     return roots.e0 + roots.k / den
 
 
-def recover_y(curve, x_half, P, sqrt_fn):
+def recover_y(curve, x_half, P, sqrt_fn, y=None):
     """All points (x_half, y) that double exactly to P.
 
-    Zero, one, or two points: a point of order 2 has its halves in +/- y
-    pairs that share an x-coordinate, so both signs must be kept.  One
-    doubling decides both signs, since 2(x, -y) = -2(x, y) exactly: (x, y)
-    is kept if its double is P, (x, -y) if it is -P.
+    ``y`` is a square root of rhs(x_half) in the base field, of either
+    sign; when it is not given it is ``sqrt_fn(rhs(x_half))``, None for a
+    non-square (then there is no such point).  Zero, one, or two points:
+    a point of order 2 has its halves in +/- y pairs that share an
+    x-coordinate, so both signs must be kept, in the order of y's sign.
+    One doubling decides both signs, since 2(x, -y) = -2(x, y) exactly:
+    (x, y) is kept if its double is P, (x, -y) if it is -P.
     """
-    rhs = curve.rhs(x_half)
-    y = sqrt_fn(rhs)
     if y is None:
-        return []
+        y = sqrt_fn(curve.rhs(x_half))
+        if y is None:
+            return []
     Q = Point(x_half, y)
     D = curve._add_raw(Q, Q)
     out = [Q] if D == P else []
@@ -198,14 +213,25 @@ def halve_point(ctx, P):
     doubling, and the ``HalvingTrace`` of how they were found.  For P at
     infinity: infinity itself plus the order-2 points.
 
+    The whole half comes from the square-root triple (gamma, alpha, beta),
+    which ``sqrt_triple`` takes with P's y as its y0.  A candidate x has
+    x - e0 = (gamma +- alpha)(gamma +- beta), and y = (x - e0)(alpha + beta)
+    for x11 and x12, (x - e0)(alpha - beta) for x21 and x22, squares to
+    rhs(x): if that y lies in the base field it is the root ``recover_y``
+    would take, up to sign, and if not there is no half at x.  For P of
+    order 2 the sign decides the order of the two halves at x, so there
+    ``recover_y`` takes the backend's root.
+
     The context is a backend for one curve (``SplitCurveQ`` over Q,
     ``FpHalvingField`` over F_p).  It holds ``curve``, nonsingular and
     checked once when the context was built, ``roots``, the root triple
     of its cubic, and ``_conjugates``, the pair passed on to
     ``sqrt_triple``.  It provides ``lift`` (base field -> the roots'
     field), ``retract`` (back, or None), ``sqrt_total`` for the three
-    differences, ``sqrt`` in the base field (None for a non-square) and
-    ``two_torsion()``, and it writes no state during a call.
+    differences (taking ``sqrt_triple``'s y0 and roots before as optional
+    arguments), ``sqrt`` in the base field (None for a non-square, used
+    for order-2 targets only) and ``two_torsion()``, and it writes no
+    state during a call.
     """
     if P is INFINITY:
         return [INFINITY] + ctx.two_torsion(), HalvingTrace(None, None)
@@ -213,15 +239,23 @@ def halve_point(ctx, P):
     P = curve._norm(P)
     curve.require_point(P)
     x0 = ctx.lift(P.x)
-    sq = sqrt_triple(x0, ctx.roots, ctx.sqrt_total, ctx._conjugates)
+    sq = sqrt_triple(x0, ctx.roots, ctx.sqrt_total, ctx._conjugates, ctx.lift(P.y))
     if sq is None:
         return [], HalvingTrace(None, None)
-    base_xs = tuple(map(ctx.retract, candidate_xs(x0, sq)))
+    xs = candidate_xs(x0, sq)
+    base_xs = tuple(map(ctx.retract, xs))
+    e0 = ctx.roots.e0
+    sums = (sq.alpha + sq.beta, sq.alpha - sq.beta)
     halves = []
     seen = set()
-    for xt in base_xs:
+    for i, (x, xt) in enumerate(zip(xs, base_xs)):
         if xt is None or xt in seen:
             continue
         seen.add(xt)
-        halves += recover_y(curve, xt, P, ctx.sqrt)
+        if not P.y:
+            halves += recover_y(curve, xt, P, ctx.sqrt)
+            continue
+        y = ctx.retract((x - e0) * sums[i // 2])
+        if y is not None:
+            halves += recover_y(curve, xt, P, ctx.sqrt, y)
     return list(dict.fromkeys(halves)), HalvingTrace(sq, base_xs)

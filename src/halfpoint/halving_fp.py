@@ -8,7 +8,9 @@ candidates that land back in F_p.  An exhaustive oracle and the odd-order
 shortcut (P/2 = ((m+1)/2) * P) are provided for cross-checking.
 """
 
+from functools import reduce
 from math import lcm
+from operator import mul
 
 from .curves import INFINITY, Curve, Point
 from .extfield import (
@@ -20,8 +22,8 @@ from .extfield import (
     project_to_fp,
     sqrt_in_tower,
 )
-# sqrt_triple, candidate_xs and recover_y are not called here: perfbench's
-# tracer patches them under this module's name as well
+# sqrt_triple, candidate_xs and recover_y are called by halve_point, not
+# here: perfbench's tracer patches them under this module's name as well
 from .halving import (
     candidate_xs,
     halve_point,
@@ -104,10 +106,20 @@ class FpHalvingField:
 
     @staticmethod
     def sqrt(x):
+        # recover_y's root, taken for order-2 targets only
         return fp_sqrt(x)
 
     @staticmethod
-    def sqrt_total(x):
+    def sqrt_total(x, y0=None, before=()):
+        """Square root of x in F_{p^D}, else in its quadratic tower.
+
+        With ``sqrt_triple``'s y0 and the roots taken before x's, n = y0
+        over their product squares to x times the differences whose roots
+        the conjugate maps take after x's.  With this context's own maps
+        those are x's conjugates, so an n in F_p is the root of N(x) that
+        ``ext_sqrt`` would take; one outside F_p means N(x) has no root
+        there, and x takes the route it takes without y0.
+        """
         if isinstance(x, TowerElem):
             if not x.v:
                 x = x.u
@@ -116,6 +128,10 @@ class FpHalvingField:
                 if s is None:
                     raise ArithmeticError("square root missing in the tower")
                 return s
+        if y0 is not None:
+            n = project_to_fp(y0 / reduce(mul, before) if before else y0)
+            if n is not None:
+                return ext_sqrt(x, _norm_root=n)
         s = ext_sqrt(x)
         if s is not None:
             return s

@@ -58,7 +58,12 @@ class SplitCurveQ:
     def sqrt(x):
         return rational_sqrt(x)
 
-    sqrt_total = sqrt  # nothing beyond the rationals is available here
+    @staticmethod
+    def sqrt_total(x, *_):
+        # nothing beyond the rationals is available here.  sqrt_triple's y0
+        # and roots before give beta as y0/(gamma*alpha), but at large
+        # heights that Fraction division costs more than rational_sqrt
+        return rational_sqrt(x)
 
     @staticmethod
     def lift(x):

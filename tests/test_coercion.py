@@ -95,3 +95,20 @@ def test_fp_context_shares_the_curve_field():
     ctx = FpHalvingField(7, curve)
     assert ctx.fp is ctx.curve.field is F7
     assert FpHalvingField(7, Curve(0, 1, 1)).curve == curve
+
+
+def test_ext_field_scalars_go_through_the_base_field():
+    K = ExtField(F7, [1, 0, 1])
+    assert K(Fraction(3)) == K(Fraction(10)) == K(3) == K(F7(3))
+    assert K(Fraction(-14, 2)) == K(0)
+    for value in (Fraction(1, 2), 0.5, 3.0, 3 + 0j, None, PrimeField(11)(3)):
+        with pytest.raises(ValueError):
+            K(value)
+
+
+def test_ext_curve_coordinates_pass_through_the_base_field():
+    K = ExtField(F7, [1, 0, 1])
+    curve = Curve(0, K.gen(), 1)  # y^2 = x^3 + Xx + 1: (0, 1) lies on it
+    assert curve.double(Point(Fraction(0), Fraction(8))) == curve.double(Point(0, 1))
+    with pytest.raises(ValueError):
+        curve.double(Point(0.5, 1))
