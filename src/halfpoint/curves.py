@@ -67,7 +67,10 @@ class Curve:
         # never falls back to float division or mixes two fields
         if P is INFINITY:
             return P
-        return Point(self.field(P.x), self.field(P.y))
+        try:
+            return Point(self.field(P.x), self.field(P.y))
+        except TypeError:  # Fraction(1j) or float(1j): refused like any foreign value
+            raise ValueError(f"point {P} does not lie in the curve's field") from None
 
     @property
     def form(self):

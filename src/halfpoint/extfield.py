@@ -15,6 +15,11 @@ and residuosity (a is a square iff N(a) is a square in F_p).  Square roots
 in a quadratic extension reduce to square roots in the field below (Adj
 and Rodriguez-Henriquez, IEEE TC 2014), and the root of the norm they take
 first decides residuosity on the way.
+
+ExtElem and TowerElem take mixed operands, division and equality from
+``primefield._FieldElem``; each supplies its coordinates (``_key()``,
+which ``_canon`` compares too), +, -, *, ``inverse`` and ``**``.  The
+tower's ``**`` runs on the same sliding window as F_{p^D}.
 """
 
 import random
@@ -23,6 +28,7 @@ from operator import mul as _imul
 from .primefield import (
     PrimeField,
     FpElem,
+    _FieldElem,
     _mul_fn,
     _pgcd,
     _pow_coeffs,
@@ -160,23 +166,18 @@ class ExtField:
         return f"ExtField(p={self.p}, modulus={list(self.modulus)})"
 
 
-class ExtElem:
+class ExtElem(_FieldElem):
     """Element of an ExtField, stored as coefficients on 1, X, ..., X^(D-1)."""
 
     __slots__ = ("field", "coeffs")
+    _lower = (int, FpElem)
 
     def __init__(self, field, coeffs):
         self.field = field
         self.coeffs = coeffs
 
-    def _coerce(self, other):
-        if isinstance(other, ExtElem):
-            if other.field is not self.field and other.field != self.field:
-                raise ValueError("mixed extension fields")
-            return other
-        if isinstance(other, (int, FpElem)):
-            return self.field(other)
-        return None
+    def _key(self):
+        return self.coeffs
 
     def __add__(self, other):
         other = self._coerce(other)
@@ -202,9 +203,6 @@ class ExtElem:
             self.field, tuple((a - b) % p for a, b in zip(self.coeffs, other.coeffs))
         )
 
-    def __rsub__(self, other):
-        return -self + other
-
     def __mul__(self, other):
         field = self.field
         if other.__class__ is not ExtElem or other.field is not field:
@@ -214,15 +212,6 @@ class ExtElem:
         return ExtElem(field, field._mul(self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        return self.inverse() * other
 
     def __pow__(self, e):
         if not isinstance(e, int):
@@ -241,15 +230,6 @@ class ExtElem:
         p = field.p
         norm_inv = pow(norm, -1, p)
         return ExtElem(field, tuple(c * norm_inv % p for c in conj))
-
-    def __eq__(self, other):
-        try:
-            other = self._coerce(other)
-        except ValueError:
-            return False
-        if other is None:
-            return NotImplemented
-        return self.coeffs == other.coeffs
 
     def __hash__(self):
         return hash((self.field.p, self.field.modulus, self.coeffs))
@@ -319,24 +299,19 @@ class TowerField:
         return f"TowerField(over={self.ext!r}, ns={self.ns!r})"
 
 
-class TowerElem:
+class TowerElem(_FieldElem):
     """u + v*Y with u, v in the base extension and Y^2 = ns."""
 
     __slots__ = ("field", "u", "v")
+    _lower = (int, FpElem, ExtElem)
 
     def __init__(self, field, u, v):
         self.field = field
         self.u = u
         self.v = v
 
-    def _coerce(self, other):
-        if isinstance(other, TowerElem):
-            if other.field is not self.field and other.field != self.field:
-                raise ValueError("mixed towers")
-            return other
-        if isinstance(other, (int, FpElem, ExtElem)):
-            return self.field(other)
-        return None
+    def _key(self):
+        return (self.u.coeffs, self.v.coeffs)
 
     def __add__(self, other):
         other = self._coerce(other)
@@ -355,9 +330,6 @@ class TowerElem:
             return NotImplemented
         return TowerElem(self.field, self.u - other.u, self.v - other.v)
 
-    def __rsub__(self, other):
-        return -self + other
-
     def __mul__(self, other):
         other = self._coerce(other)
         if other is None:
@@ -371,28 +343,12 @@ class TowerElem:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        return self.inverse() * other
-
     def __pow__(self, e):
         if not isinstance(e, int):
             return NotImplemented
         if e < 0:
             return self.inverse() ** (-e)
-        result = self.field.one()
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return _pow_coeffs(_imul, lambda a: a * a, self.field.one(), self, e)
 
     def inverse(self):
         # 1/(u + vY) = (u - vY) / (u^2 - v^2 ns)
@@ -401,15 +357,6 @@ class TowerElem:
             raise ZeroDivisionError("inverse of zero in the tower")
         inv = norm.inverse()
         return TowerElem(self.field, self.u * inv, -self.v * inv)
-
-    def __eq__(self, other):
-        try:
-            other = self._coerce(other)
-        except ValueError:
-            return False
-        if other is None:
-            return NotImplemented
-        return self.u == other.u and self.v == other.v
 
     def __hash__(self):
         return hash((self.field.p, self.u, self.v))
@@ -423,18 +370,11 @@ class TowerElem:
 
 # -- field-generic helpers ---------------------------------------------------
 
-def _canon_key(a):
-    # deterministic total order key; for D = 1 this is the integer itself
-    if isinstance(a, TowerElem):
-        return a.u.coeffs + a.v.coeffs
-    return a.coeffs
-
-
 def _canon(r):
     """The canonical sign of a square root: r or -r, whichever has the
-    lexicographically smaller coefficient vector."""
+    lexicographically smaller coefficient vector (``_key()``)."""
     n = -r
-    return r if _canon_key(r) <= _canon_key(n) else n
+    return r if r._key() <= n._key() else n
 
 
 def frobenius(a):

@@ -258,4 +258,4 @@ def halve_point(ctx, P):
         y = ctx.retract((x - e0) * sums[i // 2])
         if y is not None:
             halves += recover_y(curve, xt, P, ctx.sqrt, y)
-    return list(dict.fromkeys(halves)), HalvingTrace(sq, base_xs)
+    return halves, HalvingTrace(sq, base_xs)

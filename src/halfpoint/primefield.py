@@ -1,6 +1,13 @@
 """Arithmetic in the prime field F_p for an odd prime p: element type,
 quadratic-residue tests, square roots, and root-finding for monic cubics.
 
+The element protocol of every finite field here lives in ``_FieldElem``:
+mixed operands (an int, or an element of a field below, enters through
+the field's own ``__call__``; an element of another field raises
+ValueError), subtraction from the right, division and equality.  FpElem,
+``extfield.ExtElem`` and ``extfield.TowerElem`` supply only their
+representation and arithmetic.
+
 Residues modulo a monic polynomial of degree <= 3 are multiplied and
 squared by straight-line code and raised to powers by a sliding window;
 the cubic root-finding here and the extension fields of ``extfield``
@@ -64,51 +71,34 @@ class PrimeField:
         return f"PrimeField({self.p})"
 
 
-class FpElem:
-    """A residue mod p.  Arithmetic coerces plain ints on either side."""
+class _FieldElem:
+    """The element protocol that FpElem, ExtElem and TowerElem share.
 
-    __slots__ = ("field", "value")
+    Mixed operands are coerced here: an element of the same type must
+    belong to the same field, else ValueError; a value of a type in the
+    class's ``_lower`` (int for F_p, int and FpElem for F_{p^D}, ExtElem as
+    well for the tower) enters through the field's own ``__call__``; any
+    other operand gives NotImplemented, so Python raises TypeError.
+    Subtraction from the right, division and equality are written once on
+    top of that.  Each element type supplies its representation: the
+    ``field`` attribute, ``_key()`` (the coordinates that equality and
+    ``extfield._canon`` compare), +, unary -, *, ``inverse``, ``**``,
+    ``__hash__``, ``__bool__`` and ``__repr__``.
+    """
 
-    def __init__(self, field, value):
-        self.field = field
-        self.value = value
+    __slots__ = ()
 
     def _coerce(self, other):
-        if isinstance(other, FpElem):
-            if other.field.p != self.field.p:
-                raise ValueError("mixed moduli")
+        if other.__class__ is self.__class__:
+            if other.field is not self.field and other.field != self.field:
+                raise ValueError("element belongs to a different field")
             return other
-        if isinstance(other, int):
-            return FpElem(self.field, other % self.field.p)
+        if isinstance(other, self._lower):
+            return self.field(other)
         return None
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return FpElem(self.field, (self.value + other.value) % self.field.p)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return FpElem(self.field, -self.value % self.field.p)
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return FpElem(self.field, (self.value - other.value) % self.field.p)
 
     def __rsub__(self, other):
         return -self + other
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return FpElem(self.field, self.value * other.value % self.field.p)
-
-    __rmul__ = __mul__
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -118,6 +108,63 @@ class FpElem:
 
     def __rtruediv__(self, other):
         return self.inverse() * other
+
+    def __eq__(self, other):
+        try:
+            other = self._coerce(other)
+        except ValueError:
+            return False
+        if other is None:
+            return NotImplemented
+        return self._key() == other._key()
+
+
+class FpElem(_FieldElem):
+    """A residue mod p.  Arithmetic coerces plain ints on either side."""
+
+    __slots__ = ("field", "value")
+    _lower = (int,)
+
+    def __init__(self, field, value):
+        self.field = field
+        self.value = value
+
+    def _key(self):
+        return self.value
+
+    # +, -, * and == take an element of the same field inline, the path
+    # that 14-bit codec arithmetic is made of; other operands go to _coerce
+
+    def __add__(self, other):
+        field = self.field
+        if other.__class__ is not FpElem or other.field is not field:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        return FpElem(field, (self.value + other.value) % field.p)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return FpElem(self.field, -self.value % self.field.p)
+
+    def __sub__(self, other):
+        field = self.field
+        if other.__class__ is not FpElem or other.field is not field:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        return FpElem(field, (self.value - other.value) % field.p)
+
+    def __mul__(self, other):
+        field = self.field
+        if other.__class__ is not FpElem or other.field is not field:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        return FpElem(field, self.value * other.value % field.p)
+
+    __rmul__ = __mul__
 
     def __pow__(self, e):
         if not isinstance(e, int):
@@ -131,13 +178,9 @@ class FpElem:
         return self ** -1
 
     def __eq__(self, other):
-        try:
-            other = self._coerce(other)
-        except ValueError:
-            return False
-        if other is None:
-            return NotImplemented
-        return self.value == other.value
+        if other.__class__ is FpElem and other.field is self.field:
+            return self.value == other.value
+        return _FieldElem.__eq__(self, other)
 
     def __hash__(self):
         return hash((self.field.p, self.value))
@@ -343,7 +386,8 @@ def _mul_fn(p, modulus):
 
 
 def _pow_coeffs(mul, sqr, one, base, e):
-    """base^e for e >= 0 on coefficient tuples.
+    """base^e for e >= 0 on coefficient tuples, or on any values that
+    ``mul`` and ``sqr`` take (TowerElem.__pow__ passes tower elements).
 
     Exponents shorter than ``_WINDOW_MIN_BITS`` run plain square-and-multiply,
     longer ones a sliding window of k bits (Cohen-Frey et al., Handbook of

@@ -383,3 +383,48 @@ def test_sqrt_in_tower_order_keeps_its_roots(field, data):
         ref = _residue_first_sqrt_in_tower(a)
         assert (r.u.coeffs, r.v.coeffs) == (ref.u.coeffs, ref.v.coeffs)
         assert r * r == a.field.quadratic_tower()(a)
+
+
+def _tower_pow_reference(a, e):
+    # square-and-multiply on tower elements, the inverse first for e < 0
+    if e < 0:
+        a, e = a.inverse(), -e
+    result, base = a.field.one(), a
+    while e:
+        if e & 1:
+            result = result * base
+        base = base * base
+        e >>= 1
+    return result
+
+
+def _tower_key(r):
+    return (r.u.coeffs, r.v.coeffs)
+
+
+POW_TOWERS = [_first_irreducible(p, d).quadratic_tower() for p in (10007, 2**127 - 1) for d in (1, 2, 3)]
+
+
+def _tower_exponents(tower):
+    # both sides of the 24-, 80- and 240-bit window thresholds, the order
+    ks = (23, 24, 25, 79, 80, 81, 239, 240, 241)
+    plus = {0, 1, 2, tower.order, *(1 << k for k in ks), *((1 << k) - 1 for k in ks)}
+    return sorted(plus) + [-1, -2, -(1 << 24) + 1, -(1 << 80), -tower.order]
+
+
+@pytest.mark.parametrize(
+    "tower", POW_TOWERS, ids=[f"{t.p.bit_length()}bit.d{t.ext.degree}" for t in POW_TOWERS]
+)
+def test_tower_pow_matches_square_and_multiply(tower):
+    ext, d = tower.ext, tower.ext.degree
+    a = tower((ext([3, 1, 4][:d]), ext([1, 5, 9][:d])))
+    b = tower((ext([2, 7, 1][:d]), ext.zero()))  # in the field below
+    for x in (a, b):
+        for e in _tower_exponents(tower):
+            r = x ** e
+            assert type(r) is TowerElem and r.field is tower
+            assert _tower_key(r) == _tower_key(_tower_pow_reference(x, e)), e
+        assert x ** tower.order == x and x ** 0 == 1
+    assert tower.zero() ** 5 == 0 and tower.zero() ** 0 == 1
+    with pytest.raises(ZeroDivisionError):
+        tower.zero() ** -1
