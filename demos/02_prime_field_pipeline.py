@@ -7,8 +7,10 @@ three shapes, and the shape decides where the halving formulas live:
   degrees (1, 2)     one root in F_p         work in F_{p^2}
   degrees (3,)       irreducible             work in F_{p^3}
 
-Missing square roots push the computation one quadratic step further, into
-F_{p^(2D)}; candidates that fall back into F_p are the halves.
+The candidates that fall back into F_p are the halves.  If some Q in E(F_p)
+doubles to P, every difference x0 - e_i is a square in F_{p^D}, so a
+difference with no square root there shows that P has no half, and the
+engine stops at it instead of climbing into the quadratic tower F_{p^(2D)}.
 """
 
 import time
@@ -42,8 +44,8 @@ for (a2, a4, a6), (x, y) in instances:
     assert set(halves) == set(bf), "must agree with the exhaustive search"
 print("every answer above matches a brute-force scan of the whole group")
 
-# when a needed square root is missing downstairs, the engine climbs into
-# the quadratic tower; candidates stuck up there never land back in F_p
+# a difference x0 - e_i with no square root in F_11 stops the engine: that
+# root would lie in the quadratic tower, and P has no half in F_11
 ctx = FpHalvingField(11, Curve(0, 1, 2))
 halves, info = ctx.halve_with_info(Point(1, 2))
 print(f"unhalvable P = (1, 2) on y^2 = x^3 + x + 2: halves {halves}, "

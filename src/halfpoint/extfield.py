@@ -232,7 +232,11 @@ class ExtElem(_FieldElem):
         return ExtElem(field, tuple(c * norm_inv % p for c in conj))
 
     def __hash__(self):
-        return hash((self.field.p, self.field.modulus, self.coeffs))
+        # an element of F_p hashes as the FpElem it equals
+        c = self.coeffs
+        if not any(c[1:]):
+            return hash((self.field.p, c[0]))
+        return hash((self.field.p, self.field.modulus, c))
 
     def __bool__(self):
         return any(self.coeffs)
@@ -359,6 +363,9 @@ class TowerElem(_FieldElem):
         return TowerElem(self.field, self.u * inv, -self.v * inv)
 
     def __hash__(self):
+        # an element of the field below hashes as the u it equals
+        if not self.v:
+            return hash(self.u)
         return hash((self.field.p, self.u, self.v))
 
     def __bool__(self):

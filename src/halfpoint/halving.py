@@ -103,7 +103,12 @@ def root_triple_a24(a2, a4, sqrt_fn):
 
 
 def sqrt_triple(x0, roots, sqrt_fn, conjugates=(None, None), y0=None):
-    """Square roots of the three differences, or None if any is missing.
+    """Square roots of the three differences, or None at the first missing.
+
+    If a point Q over the base field doubles to P = (x0, y0), every
+    x0 - e_i is a square in the roots' field (the duplication formula), so
+    a missing root shows that P has no half, and no backend looks for one
+    beyond that field.
 
     ``conjugates`` may replace the square roots of alpha and beta: a map
     given in its place takes the root before it (gamma, resp. alpha) to
@@ -211,7 +216,9 @@ def recover_y(curve, x_half, P, sqrt_fn, y=None):
 def halve_point(ctx, P):
     """All Q in the context's target field with 2Q = P, each verified by
     doubling, and the ``HalvingTrace`` of how they were found.  For P at
-    infinity: infinity itself plus the order-2 points.
+    infinity: infinity itself plus the order-2 points.  When a difference
+    x0 - e_i has no square root in the roots' field there is no half, and
+    the result is ``([], HalvingTrace(None, None))``.
 
     The whole half comes from the square-root triple (gamma, alpha, beta),
     which ``sqrt_triple`` takes with P's y as its y0.  A candidate x has
@@ -228,10 +235,10 @@ def halve_point(ctx, P):
     of its cubic, and ``_conjugates``, the pair passed on to
     ``sqrt_triple``.  It provides ``lift`` (base field -> the roots'
     field), ``retract`` (back, or None), ``sqrt_total`` for the three
-    differences (taking ``sqrt_triple``'s y0 and roots before as optional
-    arguments), ``sqrt`` in the base field (None for a non-square, used
-    for order-2 targets only) and ``two_torsion()``, and it writes no
-    state during a call.
+    differences (a root in the roots' field or None, taking
+    ``sqrt_triple``'s y0 and roots before as optional arguments), ``sqrt``
+    in the base field (None for a non-square, used for order-2 targets
+    only) and ``two_torsion()``, and it writes no state during a call.
     """
     if P is INFINITY:
         return [INFINITY] + ctx.two_torsion(), HalvingTrace(None, None)

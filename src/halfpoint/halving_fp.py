@@ -2,10 +2,12 @@
 
 The right-hand cubic is factored over F_p; its roots live in an extension
 F_{p^D} with D the lcm of the factor degrees (1, 2 or 3).  The halving
-engine runs there, reaching into the quadratic tower F_{p^(2D)} when a
-needed square root does not exist downstairs, and keeps exactly the
-candidates that land back in F_p.  An exhaustive oracle and the odd-order
-shortcut (P/2 = ((m+1)/2) * P) are provided for cross-checking.
+engine runs there and keeps exactly the candidates that land back in F_p.
+If Q in E(F_p) doubles to P, every difference x0 - e_i is a square in
+F_{p^D} (the duplication formula), so a difference with no root there
+shows that P has no half and the engine stops at it; the quadratic tower
+F_{p^(2D)} of ``extfield`` is never climbed.  An exhaustive oracle and the
+odd-order shortcut (P/2 = ((m+1)/2) * P) are provided for cross-checking.
 """
 
 from functools import reduce
@@ -13,17 +15,11 @@ from math import lcm
 from operator import mul
 
 from .curves import INFINITY, Curve, Point
-from .extfield import (
-    ExtField,
-    TowerElem,
-    _canon,
-    ext_sqrt,
-    frobenius,
-    project_to_fp,
-    sqrt_in_tower,
-)
-# sqrt_triple, candidate_xs and recover_y are called by halve_point, not
-# here: perfbench's tracer patches them under this module's name as well
+from .extfield import ExtField, _canon, ext_sqrt, frobenius, project_to_fp
+# sqrt_triple, candidate_xs and recover_y are called by halve_point, and
+# sqrt_in_tower not at all: perfbench's tracer patches them under this
+# module's name as well
+from .extfield import sqrt_in_tower
 from .halving import (
     candidate_xs,
     halve_point,
@@ -49,7 +45,7 @@ def _conjugate_root(r):
 
 
 class FpHalvingField:
-    """Per-curve working data: cubic factorization, extension, lazy tower.
+    """Per-curve working data: cubic factorization and extension field.
 
     Building one of these is the expensive step; halving individual points
     afterwards reuses it, which is what the decryption loop relies on.
@@ -111,31 +107,20 @@ class FpHalvingField:
 
     @staticmethod
     def sqrt_total(x, y0=None, before=()):
-        """Square root of x in F_{p^D}, else in its quadratic tower.
+        """Square root of x in F_{p^D}, or None when x has none there.
 
         With ``sqrt_triple``'s y0 and the roots taken before x's, n = y0
         over their product squares to x times the differences whose roots
         the conjugate maps take after x's.  With this context's own maps
         those are x's conjugates, so an n in F_p is the root of N(x) that
         ``ext_sqrt`` would take; one outside F_p means N(x) has no root
-        there, and x takes the route it takes without y0.
+        there, and ``ext_sqrt`` finds that out again without y0.
         """
-        if isinstance(x, TowerElem):
-            if not x.v:
-                x = x.u
-            else:
-                s = ext_sqrt(x)
-                if s is None:
-                    raise ArithmeticError("square root missing in the tower")
-                return s
         if y0 is not None:
             n = project_to_fp(y0 / reduce(mul, before) if before else y0)
             if n is not None:
                 return ext_sqrt(x, _norm_root=n)
-        s = ext_sqrt(x)
-        if s is not None:
-            return s
-        return sqrt_in_tower(x)
+        return ext_sqrt(x)
 
     def two_torsion(self):
         return [Point(r, self.fp(0)) for r in self.fp_roots]
@@ -143,21 +128,27 @@ class FpHalvingField:
     # -- halving ---------------------------------------------------------------
 
     def halve_with_info(self, P):
-        """Halve P and report how: factor degrees, tower use, candidate fate."""
+        """Halve P and report how: factor degrees, tower use, candidate fate.
+
+        ``tower_used`` is True when P is finite and a difference x0 - e_i
+        has no square root in F_{p^D}: a root would have to come from the
+        quadratic tower, and P has no half.  Then, as at infinity, no
+        candidates were formed: ``candidates_in_base`` is None and there
+        is no ``candidate_base_xs``.
+        """
         halves, trace = halve_point(self, P)
         info = {
             "factor_degrees": self.factor_degrees,
             "extension_degree": self.extension_degree,
         }
         if trace.base_xs is None:
-            info.update(candidates_in_base=None, tower_used=False)
+            info.update(candidates_in_base=None, tower_used=P is not INFINITY)
             return halves, info
         in_base = [x for x in trace.base_xs if x is not None]
-        sq = trace.sqrt
         info.update(
             candidates_in_base=len(in_base),
             candidate_base_xs=in_base,
-            tower_used=TowerElem in (type(sq.gamma), type(sq.alpha), type(sq.beta)),
+            tower_used=False,
         )
         return halves, info
 

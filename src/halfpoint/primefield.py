@@ -84,6 +84,11 @@ class _FieldElem:
     ``field`` attribute, ``_key()`` (the coordinates that equality and
     ``extfield._canon`` compare), +, unary -, *, ``inverse``, ``**``,
     ``__hash__``, ``__bool__`` and ``__repr__``.
+
+    Equal elements hash equal across the types: an element that lies in a
+    field below hashes as its representative there.  An int equals every
+    representative of its residue (F_7(3) == 3 == 10), and 3 and 10 hash
+    differently, so ints cannot hash like elements.
     """
 
     __slots__ = ()

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from halfpoint.curves import INFINITY, Curve, Point, SingularCurveError
 from halfpoint.extfield import ext_sqrt, project_to_fp, sqrt_in_tower
 from halfpoint.halving import candidate_xs, candidate_xs_products, recover_y, sqrt_triple
+from halfpoint import halving_fp
 from halfpoint.halving_fp import (
     BRUTE_FORCE_LIMIT,
     FpHalvingField,
@@ -211,13 +212,31 @@ def _needs_tower(ctx, x):
     return ext_sqrt(ctx.lift(x) - ctx.roots.e1) is None
 
 
+def _stops_with_no_half(ctx, P, got):
+    """P needs a root from the tower: both routes stop at the first
+    difference with no root in F_{p^D}, and P has no half."""
+    x0 = ctx.lift(P.x)
+    assert sqrt_triple(x0, ctx.roots, ctx.sqrt_total, ctx._conjugates, ctx.lift(P.y)) is None
+    assert sqrt_triple(x0, ctx.roots, ctx.sqrt_total) is None
+    assert got == ([], {
+        "factor_degrees": ctx.factor_degrees,
+        "extension_degree": ctx.extension_degree,
+        "candidates_in_base": None,
+        "tower_used": True,
+    })
+
+
 def _orbit_matches_three_roots(ctx, twin, P):
     x0 = ctx.lift(P.x)
     orbit = sqrt_triple(x0, ctx.roots, ctx.sqrt_total, ctx._conjugates)
     three = sqrt_triple(x0, ctx.roots, ctx.sqrt_total)
     assert orbit == three
-    assert [type(r) for r in vars(orbit).values()] == [type(r) for r in vars(three).values()]
     got, want = ctx.halve_with_info(P), twin.halve_with_info(P)
+    if _needs_tower(ctx, P.x):
+        _stops_with_no_half(ctx, P, got)
+        _stops_with_no_half(twin, P, want)
+    else:
+        assert [type(r) for r in vars(orbit).values()] == [type(r) for r in vars(three).values()]
     assert got[1]["tower_used"] == want[1]["tower_used"] == _needs_tower(ctx, P.x)
     assert got == want
     return got[1]["tower_used"]
@@ -299,7 +318,14 @@ def _halve_with_info_reference(ctx, P):
 
 def _matches_reference(ctx, P):
     got = ctx.halve_with_info(P)
-    assert got == _halve_with_info_reference(ctx, P)
+    want = _halve_with_info_reference(ctx, P)
+    if want[1]["tower_used"]:
+        # the former loop found no half over the tower; the engine stops
+        # before it
+        assert want[0] == []
+        _stops_with_no_half(ctx, P, got)
+    else:
+        assert got == want
     return got[1]["tower_used"]
 
 
@@ -380,6 +406,31 @@ def test_tower_used_exactly_when_no_half_on_every_point(p):
                 for P in enumerate_points(p, ctx.curve):
                     climbed += _tower_iff_no_half(ctx, P)
     assert climbed
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def test_halving_never_climbs_the_tower(p, monkeypatch):
+    def refuse(x):
+        raise AssertionError("the halving path called sqrt_in_tower")
+
+    monkeypatch.setattr(halving_fp, "sqrt_in_tower", refuse)
+    fp = PrimeField(p)
+    no_half = {1: 0, 2: 0}
+    for a2 in (0, 1):
+        for a4 in range(p):
+            for a6 in range(p):
+                if not Curve(fp(a2), fp(a4), fp(a6)).discriminant():
+                    continue
+                ctx = FpHalvingField(p, Curve(a2, a4, a6))
+                if ctx.extension_degree == 3:
+                    continue
+                for P in enumerate_points(p, ctx.curve):
+                    halves = ctx.halve(P)
+                    want = brute_force_halves(p, ctx.curve, P)
+                    assert len(halves) == len(set(halves)) and set(halves) == set(want), P
+                    no_half[ctx.extension_degree] += not halves
+                assert ctx.extension._tower is None
+    assert all(no_half.values())  # both degrees met points that would climb
 
 
 @settings(max_examples=40, deadline=None)

@@ -98,11 +98,18 @@ def _context(p, degree):
 
 def _check_triple(ctx, P):
     """The triple with the point's y equals the triple without it, root types
-    included, and each candidate's y from the triple squares to rhs(x)."""
+    included, and each candidate's y from the triple squares to rhs(x).  A
+    point with a difference that has no root in F_{p^D} has no half: both
+    give None and ``halve_with_info`` reports no candidates."""
     x0 = ctx.lift(P.x)
     hinted = sqrt_triple(x0, ctx.roots, ctx.sqrt_total, ctx._conjugates, ctx.lift(P.y))
     plain = sqrt_triple(x0, ctx.roots, ctx.sqrt_total, ctx._conjugates)
     assert hinted == plain
+    if any(ext_sqrt(d) is None for d in ctx.roots.differences(x0)):
+        assert hinted is None and plain is None
+        halves, info = ctx.halve_with_info(P)
+        assert halves == [] and info["tower_used"] and info["candidates_in_base"] is None
+        return
     assert [type(r) for r in vars(hinted).values()] == [type(r) for r in vars(plain).values()]
     e0, sq = ctx.roots.e0, hinted
     for i, x in enumerate(candidate_xs(x0, sq)):
