@@ -43,6 +43,11 @@ def _integer(s):
         raise argparse.ArgumentTypeError(f"not an integer: {s!r}") from None
 
 
+def _key(s):
+    # a string of 0s and 1s is a bit string; anything else a decimal integer
+    return s if set(s) <= {"0", "1"} else _integer(s)
+
+
 def _as_int(value, name):
     if isinstance(value, Fraction):
         if value.denominator != 1:
@@ -101,8 +106,6 @@ def _build_parser():
     sp.add_argument("--a2", type=_integer, default=0)
     sp.add_argument("--x", type=_integer, required=True)
     sp.add_argument("--y", type=_integer, required=True)
-    sp.add_argument("--seed", type=_integer, default=0,
-                    help="seed for the randomized cubic root finder")
 
     sp = sub.add_parser("double", parents=[pretty], help="double a point")
     mode = sp.add_mutually_exclusive_group(required=True)
@@ -134,7 +137,7 @@ def _build_parser():
     sp.add_argument("--py", type=_integer, required=True, help="base point y")
     sp.add_argument("--order", type=_integer, required=True, help="odd group order")
     sp.add_argument("--pad", type=_integer, default=2, help="decimal padding digits")
-    sp.add_argument("--key", help="key as a bit string, or a decimal integer")
+    sp.add_argument("--key", type=_key, help="key as a bit string, or a decimal integer")
     sp.add_argument("--message", type=_integer, help="message integer (encode)")
     sp.add_argument("--x", type=_integer, help="point x (encrypt/decrypt)")
     sp.add_argument("--y", type=_integer, help="point y (encrypt/decrypt)")
@@ -208,7 +211,7 @@ def _cmd_halve_q(args):
 
 def _cmd_halve_fp(args):
     curve = Curve(args.a2, args.a4, args.a6)
-    ctx = FpHalvingField(args.p, curve, seed=args.seed)
+    ctx = FpHalvingField(args.p, curve)
     halves, info = ctx.halve_with_info(Point(args.x, args.y))
     print(f"cubic factor degrees: {tuple(info['factor_degrees'])}", file=sys.stderr)
     print(f"splitting field degree: {info['extension_degree']}", file=sys.stderr)
@@ -270,11 +273,10 @@ def _cmd_codec(args):
         return _fmt_point(Q)
     if args.key is None or args.x is None or args.y is None:
         raise UsageError(f"codec {args.action} requires --key, --x and --y")
-    key = args.key if set(args.key) <= {"0", "1"} else int(args.key, 10)
     P = Point(params.fp(args.x), params.fp(args.y))
     if args.action == "encrypt":
-        return _fmt_point(codec_mod.encrypt(P, key, params))
-    Q = codec_mod.decrypt(P, key, params)
+        return _fmt_point(codec_mod.encrypt(P, args.key, params))
+    Q = codec_mod.decrypt(P, args.key, params)
     doc = _fmt_point(Q)
     doc["message"] = str(codec_mod.decode_message(Q, params))
     return doc

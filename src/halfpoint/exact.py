@@ -39,14 +39,15 @@ def rational_sqrt(q):
     return Fraction(rn, rd)
 
 
-def _quadratic_roots(b, c):
-    # rational roots of x^2 + b*x + c, b and c rational
-    disc = Fraction(b) * b - 4 * Fraction(c)
-    s = rational_sqrt(disc)
+def _quadratic_roots(b, c, sqrt):
+    # the distinct roots of x^2 + b*x + c, [] when sqrt (None on a
+    # non-square) finds no root of the discriminant; b is a Fraction or a
+    # field element, so -b/2 is exact.  Shared by Q and F_p
+    s = sqrt(b * b - 4 * c)
     if s is None:
         return []
     if s == 0:
-        return [-Fraction(b) / 2]
+        return [-b / 2]
     return [(-b + s) / 2, (-b - s) / 2]
 
 
@@ -116,19 +117,18 @@ def rational_roots_cubic(c2, c1, c0):
     """
     c2, c1, c0 = Fraction(c2), Fraction(c1), Fraction(c0)
     if c0 == 0:
-        roots = [Fraction(0)]
-        roots += [r for r in _quadratic_roots(c2, c1) if r != 0]
-        return roots
-    # y = L x turns the cubic into y^3 + B y^2 + C y + D over the integers,
-    # whose integer roots y = L x carry all rational roots x
-    L = lcm(c2.denominator, c1.denominator, c0.denominator)
-    B = int(c2 * L)
-    C = int(c1 * L * L)
-    D = int(c0 * L ** 3)
-    y = _integer_root_cubic(B, C, D)
-    if y is None:
-        return []
-    roots = [Fraction(y, L)]
-    # deflate: cubic / (t - y) = t^2 + (B+y) t + (C + y(B+y))
-    roots += [r / L for r in _quadratic_roots(B + y, C + y * (B + y)) if r != y]
-    return roots
+        x1 = Fraction(0)
+    else:
+        # y = L x turns the cubic into y^3 + B y^2 + C y + D over the
+        # integers, whose integer roots y = L x carry all rational roots x
+        L = lcm(c2.denominator, c1.denominator, c0.denominator)
+        B = int(c2 * L)
+        C = int(c1 * L * L)
+        D = int(c0 * L ** 3)
+        y = _integer_root_cubic(B, C, D)
+        if y is None:
+            return []
+        x1 = Fraction(y, L)
+    # deflate: cubic / (x - x1) = x^2 + b x + (c1 + x1 b) with b = c2 + x1
+    b = c2 + x1
+    return [x1] + [r for r in _quadratic_roots(b, c1 + x1 * b, rational_sqrt) if r != x1]

@@ -432,15 +432,17 @@ def _is_square(a):
     return legendre(_norm(a)) != -1
 
 
-def choose_nonresidue(field, seed=0):
+def choose_nonresidue(field):
     """First quadratic non-residue of the field under a deterministic scan.
 
     Constants 2, 3, ... are tried first, then low-degree polynomials; a
-    seeded random search of at most NONRESIDUE_DRAWS draws takes over only
-    if the capped scan runs dry.  Each candidate costs one Legendre symbol
-    of its norm.  In even degree (D = 2 and every tower) the norm of a
-    constant c is c^degree, a square, so the constants are skipped there:
-    the scan still returns the element the full scan would.
+    random search of at most NONRESIDUE_DRAWS draws from
+    ``random.Random(0)`` takes over only if the capped scan runs dry, so
+    every call on one field returns the same element.  Each candidate
+    costs one Legendre symbol of its norm.  In even degree (D = 2 and
+    every tower) the norm of a constant c is c^degree, a square, so the
+    constants are skipped there: the scan still returns the element the
+    full scan would.
     """
     tower = isinstance(field, TowerField)
     degree = 2 * field.ext.degree if tower else field.degree
@@ -459,7 +461,7 @@ def choose_nonresidue(field, seed=0):
     for a in small:
         if not _is_square(a):
             return a
-    rng = random.Random(seed)
+    rng = random.Random(0)
     for _ in range(NONRESIDUE_DRAWS):
         if tower:
             a = field((rng.randrange(field.p), rng.randrange(field.p)))

@@ -227,7 +227,9 @@ def halve_point(ctx, P):
     rhs(x): if that y lies in the base field it is the root ``recover_y``
     would take, up to sign, and if not there is no half at x.  For P of
     order 2 the sign decides the order of the two halves at x, so there
-    ``recover_y`` takes the backend's root.
+    y is the backend's own root of rhs(x), ``sqrt_total`` of its lift
+    retracted: over F_p that is ``fp_sqrt``'s root, sign included, and
+    None for a non-square.
 
     The context is a backend for one curve (``SplitCurveQ`` over Q,
     ``FpHalvingField`` over F_p).  It holds ``curve``, nonsingular and
@@ -235,10 +237,10 @@ def halve_point(ctx, P):
     of its cubic, and ``_conjugates``, the pair passed on to
     ``sqrt_triple``.  It provides ``lift`` (base field -> the roots'
     field), ``retract`` (back, or None), ``sqrt_total`` for the three
-    differences (a root in the roots' field or None, taking
-    ``sqrt_triple``'s y0 and roots before as optional arguments), ``sqrt``
-    in the base field (None for a non-square, used for order-2 targets
-    only) and ``two_torsion()``, and it writes no state during a call.
+    differences and for rhs(x) at order-2 targets (a root in the roots'
+    field or None, taking ``sqrt_triple``'s y0 and roots before as
+    optional arguments) and ``two_torsion()``, and it writes no state
+    during a call.
     """
     if P is INFINITY:
         return [INFINITY] + ctx.two_torsion(), HalvingTrace(None, None)
@@ -259,10 +261,11 @@ def halve_point(ctx, P):
         if xt is None or xt in seen:
             continue
         seen.add(xt)
-        if not P.y:
-            halves += recover_y(curve, xt, P, ctx.sqrt)
-            continue
-        y = ctx.retract((x - e0) * sums[i // 2])
+        if P.y:
+            y = ctx.retract((x - e0) * sums[i // 2])
+        else:
+            y = ctx.sqrt_total(ctx.lift(curve.rhs(xt)))
+            y = y if y is None else ctx.retract(y)
         if y is not None:
-            halves += recover_y(curve, xt, P, ctx.sqrt, y)
+            halves += recover_y(curve, xt, P, None, y)
     return halves, HalvingTrace(sq, base_xs)

@@ -49,14 +49,17 @@ class FpHalvingField:
 
     Building one of these is the expensive step; halving individual points
     afterwards reuses it, which is what the decryption loop relies on.
+    The curve alone decides it; there is no setting.  As the halving
+    engine's backend it takes every square root in F_{p^D}
+    (``sqrt_total``), and a root in F_p is one of those retracted.
     """
 
-    def __init__(self, p, curve, seed=0):
+    def __init__(self, p, curve):
         self.fp, self.curve = _coerce_curve(p, curve)
         self.curve.validate()
         self.p = p
         a2, a4, a6 = self.curve.a2, self.curve.a4, self.curve.a6
-        fp_roots, degrees = cubic_roots_fp(a2, a4, a6, seed)
+        fp_roots, degrees = cubic_roots_fp(a2, a4, a6)
         self.fp_roots = fp_roots
         self.factor_degrees = degrees
         self.extension_degree = lcm(*degrees)
@@ -99,11 +102,6 @@ class FpHalvingField:
     @staticmethod
     def retract(x):
         return project_to_fp(x)
-
-    @staticmethod
-    def sqrt(x):
-        # recover_y's root, taken for order-2 targets only
-        return fp_sqrt(x)
 
     @staticmethod
     def sqrt_total(x, y0=None, before=()):
@@ -156,9 +154,9 @@ class FpHalvingField:
         return self.halve_with_info(P)[0]
 
 
-def halve_over_fp(p, curve, P, seed=0):
+def halve_over_fp(p, curve, P):
     """All points Q in E(F_p) with 2Q = P, each verified by doubling."""
-    return FpHalvingField(p, curve, seed).halve(P)
+    return FpHalvingField(p, curve).halve(P)
 
 
 def enumerate_points(p, curve):

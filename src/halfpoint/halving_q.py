@@ -22,7 +22,8 @@ class SplitCurveQ:
     the coefficient form is recovered through Vieta.  The root triple is
     built once, and the object is the halving engine's backend over Q
     (see ``halving.halve_point``): every square root is a rational one,
-    so nothing is lifted, retracted or taken as a conjugate.
+    taken by ``sqrt_total``, so nothing is lifted, retracted or taken as
+    a conjugate.
     """
 
     __slots__ = ("e0", "e1", "e2", "curve", "roots")
@@ -53,10 +54,6 @@ class SplitCurveQ:
         return self.roots
 
     # -- backend protocol for the halving engine ------------------------------
-
-    @staticmethod
-    def sqrt(x):
-        return rational_sqrt(x)
 
     @staticmethod
     def sqrt_total(x, *_):

@@ -19,6 +19,8 @@ Primality of the modulus is the caller's contract; it is never verified.
 import random
 from fractions import Fraction
 
+from .exact import _quadratic_roots
+
 # random draws cubic_roots_fp makes to split a cubic with three roots; a
 # draw splits it with probability about 3/4, so running out means the
 # modulus is not prime
@@ -489,29 +491,20 @@ def _psub(f, g, p):
     return _ptrim(out)
 
 
-def _quadratic_roots_fp(b, c):
-    # both roots of x^2 + b*x + c over F_p, when they exist
-    disc = b * b - 4 * c
-    s = fp_sqrt(disc)
-    if s is None:
-        return []
-    if s == 0:
-        return [-b / 2]
-    return [(-b + s) / 2, (-b - s) / 2]
-
-
-def cubic_roots_fp(c2, c1, c0, seed=0):
+def cubic_roots_fp(c2, c1, c0):
     """Roots in F_p of x^3 + c2*x^2 + c1*x + c0 and its factor-degree shape.
 
     Returns ``(roots, degrees)`` where roots is the ascending list of
     distinct roots and degrees is the multiset of irreducible-factor
     degrees, one of (1,1,1), (1,2), (3).  The distinct roots come from
-    gcd(X^p - X, f); when all three live in F_p a seeded random splitting
-    by gcd((X + t)^((p-1)/2) - 1, f) isolates them.  The root set does not
-    depend on the seed.  X^p and the splitting powers are computed modulo
-    f with the straight-line arithmetic and windowed exponentiation that
-    ExtField uses (``_mul_fn``, ``_pow_coeffs``), f being irreducible or
-    not.
+    gcd(X^p - X, f); when all three live in F_p a random splitting by
+    gcd((X + t)^((p-1)/2) - 1, f) isolates them, t drawn from
+    ``random.Random(0)`` so that one cubic always takes the same draws.
+    The quadratics on the way go to ``exact._quadratic_roots`` with
+    ``fp_sqrt``, the solver the rationals use.  X^p and the splitting
+    powers are computed modulo f with the straight-line arithmetic and
+    windowed exponentiation that ExtField uses (``_mul_fn``,
+    ``_pow_coeffs``), f being irreducible or not.
     """
     field = c2.field
     p = field.p
@@ -527,11 +520,11 @@ def cubic_roots_fp(c2, c1, c0, seed=0):
     if deg == 1:
         roots = [field(-linear_part[0])]
     elif deg == 2:
-        roots = _quadratic_roots_fp(field(linear_part[1]), field(linear_part[0]))
+        roots = _quadratic_roots(field(linear_part[1]), field(linear_part[0]), fp_sqrt)
     elif deg == 3:
         # fully split and squarefree, so the monic gcd is f itself: split
         # off one factor at random
-        rng = random.Random(seed)
+        rng = random.Random(0)
         for _ in range(_SPLIT_DRAWS):
             h = _pow_coeffs(mul, sqr, one, (rng.randrange(p), 1, 0), (p - 1) // 2)
             u = _pgcd(_psub(h, [1], p), f, p)
@@ -544,14 +537,14 @@ def cubic_roots_fp(c2, c1, c0, seed=0):
         if len(u) - 1 == 1:
             r0 = field(-u[0])
         else:
-            split = _quadratic_roots_fp(field(u[1]), field(u[0]))
+            split = _quadratic_roots(field(u[1]), field(u[0]), fp_sqrt)
             if not split:
                 raise ArithmeticError("split-off quadratic has no roots; is the modulus prime?")
             r0 = split[0]
         # deflate f by (x - r0); the cofactor quadratic splits as well
         b = c2 + r0
         c = c1 + r0 * b
-        roots = [r0] + _quadratic_roots_fp(b, c)
+        roots = [r0] + _quadratic_roots(b, c, fp_sqrt)
 
     roots = sorted(set(roots), key=int)
 

@@ -107,15 +107,24 @@ def test_codec_cli_round_trip(capsys):
     assert code == 0
     assert json.loads(out) == {"x": "4200", "y": "1903"}
 
-    code, out, _ = invoke(capsys, "codec", "encrypt", *CODEC,
-                          "--key", "1011001110001111", "--x", "4200", "--y", "1903")
-    assert code == 0
-    assert json.loads(out) == {"x": "5621", "y": "8106"}
+    # the same key as a bit string and as a decimal integer
+    for key in ("1011001110001111", "45967"):
+        code, out, _ = invoke(capsys, "codec", "encrypt", *CODEC,
+                              "--key", key, "--x", "4200", "--y", "1903")
+        assert code == 0
+        assert json.loads(out) == {"x": "5621", "y": "8106"}
 
-    code, out, _ = invoke(capsys, "codec", "decrypt", *CODEC,
-                          "--key", "1011001110001111", "--x", "5621", "--y", "8106")
-    assert code == 0
-    assert json.loads(out) == {"x": "4200", "y": "1903", "message": "42"}
+        code, out, _ = invoke(capsys, "codec", "decrypt", *CODEC,
+                              "--key", key, "--x", "5621", "--y", "8106")
+        assert code == 0
+        assert json.loads(out) == {"x": "4200", "y": "1903", "message": "42"}
+
+
+@pytest.mark.parametrize("key", ["abc", "12x3"])
+def test_codec_malformed_key_is_a_usage_error(capsys, key):
+    code, out, err = invoke(capsys, "codec", "decrypt", *CODEC,
+                            "--key", key, "--x", "5621", "--y", "8106")
+    assert code == 2 and "--key" in err and out == ""
 
 
 def test_codec_missing_pieces(capsys):

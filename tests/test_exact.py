@@ -71,6 +71,8 @@ def test_cubic_repeated_root_collapses():
     # (x - 1)^2 (x - 2): distinct roots only
     roots = rational_roots_cubic(Fraction(-4), Fraction(5), Fraction(-2))
     assert sorted(roots) == [1, 2]
+    # x (x - 1)^2: the c0 = 0 branch, whose quadratic has the double root
+    assert rational_roots_cubic(-2, 1, 0) == [0, 1]
 
 
 def test_cubic_fractional_roots():

@@ -107,15 +107,6 @@ def test_oracle_equivalence_random_curves():
                         assert doubled == P or (doubled is INFINITY and P is INFINITY)
 
 
-def test_seed_independence():
-    curve = Curve(0, -36, 0)  # fully split mod 31 as well
-    P = Point(8, 10)
-    want = {(24, 8), (14, 16), (15, 13), (10, 12)}
-    for seed in range(4):
-        got = {(int(Q.x), int(Q.y)) for Q in halve_over_fp(31, curve, P, seed=seed)}
-        assert got == want
-
-
 def test_reference_curve_big_prime():
     p = 17000000000000071
     ctx = FpHalvingField(p, Curve(0, 17, 71))

@@ -192,20 +192,6 @@ def test_cubic_roots_exhaustive(p):
                 assert degrees == want_degrees
 
 
-def test_cubic_roots_seed_independent():
-    F = PrimeField(31)
-    # (x-3)(x-10)(x-22) mod 31
-    c2, c1, c0 = F(-35), F(3 * 10 + 10 * 22 + 22 * 3), F(-3 * 10 * 22)
-    expect = None
-    for seed in range(6):
-        roots, degrees = cubic_roots_fp(c2, c1, c0, seed=seed)
-        assert degrees == (1, 1, 1)
-        if expect is None:
-            expect = roots
-        assert roots == expect
-    assert sorted(int(r) for r in expect) == [3, 10, 22]
-
-
 def test_cubic_roots_large_prime():
     p = 17000000000000071
     F = PrimeField(p)
@@ -329,14 +315,13 @@ def test_cubic_roots_composite_modulus_raises_arithmetic_error(p, coeffs):
 @given(
     p=st.sampled_from((10007, 12289, 10037, 17000000000000071, 2**64 - 2**32 + 1, 2**127 - 1)),
     rs=st.lists(st.integers(min_value=0), min_size=3, max_size=3),
-    seed=st.integers(0, 5),
 )
-def test_cubic_roots_prime_modulus_unchanged(p, rs, seed):
+def test_cubic_roots_prime_modulus_unchanged(p, rs):
     # every cubic with its roots in F_p, double roots included, over
     # p = 3 mod 4, 5 mod 8 and 1 mod 8: the roots and the shape are exact
     F = PrimeField(p)
     r1, r2, r3 = (F(r) for r in rs)
     c2, c1, c0 = -(r1 + r2 + r3), r1 * r2 + r2 * r3 + r3 * r1, -(r1 * r2 * r3)
-    roots, degrees = cubic_roots_fp(c2, c1, c0, seed=seed)
+    roots, degrees = cubic_roots_fp(c2, c1, c0)
     assert [int(r) for r in roots] == sorted({r % p for r in rs})
     assert degrees == (1, 1, 1)
