@@ -38,18 +38,19 @@ for (a2, a4, a6), (x, y) in instances:
     bf = brute_force_halves(11, ctx.curve, P)
     print(f"y^2 = x^3 + {a4}x + {a6}, P = {(x, y)}")
     print(f"  factor degrees {info['factor_degrees']}, splitting field "
-          f"F_11^{info['extension_degree']}, quadratic tower used: "
-          f"{info['tower_used']}")
+          f"F_11^{info['extension_degree']}, candidates in F_11: "
+          f"{info['candidates_in_base']}")
     print(f"  halves: {[(int(Q.x), int(Q.y)) for Q in halves]}")
     assert set(halves) == set(bf), "must agree with the exhaustive search"
 print("every answer above matches a brute-force scan of the whole group")
 
-# a difference x0 - e_i with no square root in F_11 stops the engine: that
-# root would lie in the quadratic tower, and P has no half in F_11
+# a difference x0 - e_i with no square root in F_11 (the splitting field,
+# since the cubic splits) shows that P has no half in F_11: the engine stops
+# there, before it forms any candidate
 ctx = FpHalvingField(11, Curve(0, 1, 2))
 halves, info = ctx.halve_with_info(Point(1, 2))
 print(f"unhalvable P = (1, 2) on y^2 = x^3 + x + 2: halves {halves}, "
-      f"tower used: {info['tower_used']}")
+      f"candidates_in_base: {info['candidates_in_base']} (none formed)")
 
 print()
 print("a 54-bit prime, far beyond any exhaustive scan")

@@ -215,7 +215,6 @@ def _cmd_halve_fp(args):
     halves, info = ctx.halve_with_info(Point(args.x, args.y))
     print(f"cubic factor degrees: {tuple(info['factor_degrees'])}", file=sys.stderr)
     print(f"splitting field degree: {info['extension_degree']}", file=sys.stderr)
-    print(f"quadratic tower used: {'yes' if info['tower_used'] else 'no'}", file=sys.stderr)
     if info["candidates_in_base"] is not None:
         print(f"candidate x-values in the base field: {info['candidates_in_base']}",
               file=sys.stderr)

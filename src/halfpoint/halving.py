@@ -6,13 +6,14 @@ from square roots of the three differences x0 - e_i, its x and its y
 alike.  A backend supplies those roots and square roots (exact over
 the rationals, extension-field over F_p); everything in this module is
 pure algebra on top of that.  ``halve_point`` is the one loop that turns
-them into verified halves, over Q and over F_p alike; the complex numbers
-use the formulas directly (``complexcheck``), since an exact ``2Q == P``
-never holds in floating point.
+them into verified halves, over Q and over F_p alike, and hands back with
+them only the candidates' base-field x; each half's y comes from the
+square-root triple.  The complex numbers use the formulas directly
+(``complexcheck``), since an exact ``2Q == P`` never holds in floating
+point.
 """
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .curves import INFINITY, Point
 
@@ -49,19 +50,6 @@ class SqrtTriple:
     def flipped(self, s0, s1, s2):
         """The same triple with signs flipped per the +/-1 pattern given."""
         return SqrtTriple(s0 * self.gamma, s1 * self.alpha, s2 * self.beta)
-
-
-class HalvingTrace(NamedTuple):
-    """How ``halve_point`` reached its halves (immutable).
-
-    ``sqrt`` is the square-root triple (None when P is at infinity or a
-    difference has no root), ``base_xs`` the four candidates' x in the
-    base field, None for one outside it (the tuple is None when no
-    candidates were formed).
-    """
-
-    sqrt: SqrtTriple | None
-    base_xs: tuple | None
 
 
 @dataclass(frozen=True)
@@ -190,21 +178,16 @@ def meeting_x(x0, roots):
     return roots.e0 + roots.k / den
 
 
-def recover_y(curve, x_half, P, sqrt_fn, y=None):
-    """All points (x_half, y) that double exactly to P.
+def recover_y(curve, x_half, P, y):
+    """All points (x_half, +/-y) that double exactly to P.
 
     ``y`` is a square root of rhs(x_half) in the base field, of either
-    sign; when it is not given it is ``sqrt_fn(rhs(x_half))``, None for a
-    non-square (then there is no such point).  Zero, one, or two points:
-    a point of order 2 has its halves in +/- y pairs that share an
-    x-coordinate, so both signs must be kept, in the order of y's sign.
-    One doubling decides both signs, since 2(x, -y) = -2(x, y) exactly:
-    (x, y) is kept if its double is P, (x, -y) if it is -P.
+    sign.  Zero, one, or two points: a point of order 2 has its halves in
+    +/- y pairs that share an x-coordinate, so both signs must be kept, in
+    the order of y's sign.  One doubling decides both signs, since
+    2(x, -y) = -2(x, y) exactly: (x, y) is kept if its double is P,
+    (x, -y) if it is -P.
     """
-    if y is None:
-        y = sqrt_fn(curve.rhs(x_half))
-        if y is None:
-            return []
     Q = Point(x_half, y)
     D = curve._add_raw(Q, Q)
     out = [Q] if D == P else []
@@ -215,21 +198,22 @@ def recover_y(curve, x_half, P, sqrt_fn, y=None):
 
 def halve_point(ctx, P):
     """All Q in the context's target field with 2Q = P, each verified by
-    doubling, and the ``HalvingTrace`` of how they were found.  For P at
-    infinity: infinity itself plus the order-2 points.  When a difference
+    doubling, as ``(halves, base_xs)``.  ``base_xs`` holds the four
+    candidates' x in the base field, None for one outside it, and is None
+    itself when no candidates were formed.  For P at infinity the halves
+    are infinity itself plus the order-2 points.  When a difference
     x0 - e_i has no square root in the roots' field there is no half, and
-    the result is ``([], HalvingTrace(None, None))``.
+    the result is ``([], None)``.
 
     The whole half comes from the square-root triple (gamma, alpha, beta),
     which ``sqrt_triple`` takes with P's y as its y0.  A candidate x has
     x - e0 = (gamma +- alpha)(gamma +- beta), and y = (x - e0)(alpha + beta)
     for x11 and x12, (x - e0)(alpha - beta) for x21 and x22, squares to
-    rhs(x): if that y lies in the base field it is the root ``recover_y``
-    would take, up to sign, and if not there is no half at x.  For P of
-    order 2 the sign decides the order of the two halves at x, so there
-    y is the backend's own root of rhs(x), ``sqrt_total`` of its lift
-    retracted: over F_p that is ``fp_sqrt``'s root, sign included, and
-    None for a non-square.
+    rhs(x): if that y lies in the base field ``recover_y`` takes it, and
+    if not there is no half at x.  For P of order 2 the sign decides the
+    order of the two halves at x, so there y is the backend's own root of
+    rhs(x), ``sqrt_total`` of its lift retracted: over F_p that is
+    ``fp_sqrt``'s root, sign included, and None for a non-square.
 
     The context is a backend for one curve (``SplitCurveQ`` over Q,
     ``FpHalvingField`` over F_p).  It holds ``curve``, nonsingular and
@@ -243,14 +227,14 @@ def halve_point(ctx, P):
     during a call.
     """
     if P is INFINITY:
-        return [INFINITY] + ctx.two_torsion(), HalvingTrace(None, None)
+        return [INFINITY] + ctx.two_torsion(), None
     curve = ctx.curve
     P = curve._norm(P)
     curve.require_point(P)
     x0 = ctx.lift(P.x)
     sq = sqrt_triple(x0, ctx.roots, ctx.sqrt_total, ctx._conjugates, ctx.lift(P.y))
     if sq is None:
-        return [], HalvingTrace(None, None)
+        return [], None
     xs = candidate_xs(x0, sq)
     base_xs = tuple(map(ctx.retract, xs))
     e0 = ctx.roots.e0
@@ -267,5 +251,5 @@ def halve_point(ctx, P):
             y = ctx.sqrt_total(ctx.lift(curve.rhs(xt)))
             y = y if y is None else ctx.retract(y)
         if y is not None:
-            halves += recover_y(curve, xt, P, None, y)
-    return halves, HalvingTrace(sq, base_xs)
+            halves += recover_y(curve, xt, P, y)
+    return halves, base_xs

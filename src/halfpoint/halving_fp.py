@@ -126,29 +126,19 @@ class FpHalvingField:
     # -- halving ---------------------------------------------------------------
 
     def halve_with_info(self, P):
-        """Halve P and report how: factor degrees, tower use, candidate fate.
+        """Halve P and report how: factor degrees, D, candidates in F_p.
 
-        ``tower_used`` is True when P is finite and a difference x0 - e_i
-        has no square root in F_{p^D}: a root would have to come from the
-        quadratic tower, and P has no half.  Then, as at infinity, no
-        candidates were formed: ``candidates_in_base`` is None and there
-        is no ``candidate_base_xs``.
+        ``candidates_in_base`` counts the four candidate x-values that lie
+        in F_p.  It is None when no candidates were formed: at infinity,
+        and when a difference x0 - e_i has no square root in F_{p^D}, so
+        that P has no half.
         """
-        halves, trace = halve_point(self, P)
-        info = {
+        halves, base_xs = halve_point(self, P)
+        return halves, {
             "factor_degrees": self.factor_degrees,
             "extension_degree": self.extension_degree,
+            "candidates_in_base": None if base_xs is None else sum(x is not None for x in base_xs),
         }
-        if trace.base_xs is None:
-            info.update(candidates_in_base=None, tower_used=P is not INFINITY)
-            return halves, info
-        in_base = [x for x in trace.base_xs if x is not None]
-        info.update(
-            candidates_in_base=len(in_base),
-            candidate_base_xs=in_base,
-            tower_used=False,
-        )
-        return halves, info
 
     def halve(self, P):
         return self.halve_with_info(P)[0]

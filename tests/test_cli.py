@@ -58,7 +58,18 @@ def test_halve_fp_output_and_diagnostics(capsys):
         ("9", "5"), ("2", "1"), ("6", "2"), ("4", "2")}
     assert "cubic factor degrees" in err
     assert "splitting field degree" in err
-    assert "quadratic tower used" in err
+    assert "candidate x-values in the base field: 4" in err
+
+
+def test_halve_fp_point_with_no_half(capsys):
+    # the differences of (1, 2) have no root in F_11: no candidates, no half
+    code, out, err = invoke(capsys, "halve-fp", "--p", "11", "--a4", "1",
+                            "--a6", "2", "--x", "1", "--y", "2")
+    assert code == 0
+    assert json.loads(out) == []
+    assert "splitting field degree: 1" in err
+    assert "candidate x-values" not in err
+    assert "tower" not in err
 
 
 def test_double_mod_p(capsys):

@@ -9,7 +9,13 @@ from hypothesis import strategies as st
 
 from halfpoint.curves import INFINITY, Curve, Point, SingularCurveError
 from halfpoint.extfield import ext_sqrt, project_to_fp, sqrt_in_tower
-from halfpoint.halving import candidate_xs, candidate_xs_products, recover_y, sqrt_triple
+from halfpoint.halving import (
+    candidate_xs,
+    candidate_xs_products,
+    halve_point,
+    recover_y,
+    sqrt_triple,
+)
 from halfpoint import halving_fp
 from halfpoint.halving_fp import (
     BRUTE_FORCE_LIMIT,
@@ -37,10 +43,10 @@ def test_fully_split_fixture():
     assert ctx.factor_degrees == (1, 1, 1) and ctx.extension_degree == 1
     halves, info = ctx.halve_with_info(Point(8, 4))
     assert {(int(Q.x), int(Q.y)) for Q in halves} == {(9, 5), (2, 1), (6, 2), (4, 2)}
-    assert info["candidates_in_base"] == 4 and not info["tower_used"]
-    # a point whose differences are non-residues: candidates live upstairs
+    assert info["candidates_in_base"] == 4
+    # a point whose differences are non-residues: no candidates are formed
     halves, info = ctx.halve_with_info(Point(1, 2))
-    assert halves == [] and info["tower_used"]
+    assert halves == [] and info["candidates_in_base"] is None
 
 
 def test_one_root_fixture():
@@ -49,9 +55,9 @@ def test_one_root_fixture():
     assert ctx.factor_degrees == (1, 2) and ctx.extension_degree == 2
     halves, info = ctx.halve_with_info(Point(0, 1))
     assert {(int(Q.x), int(Q.y)) for Q in halves} == {(2, 3), (0, 10)}
-    assert info["candidates_in_base"] == 2 and not info["tower_used"]
+    assert info["candidates_in_base"] == 2
     halves, info = ctx.halve_with_info(Point(5, 4))
-    assert halves == [] and info["tower_used"]
+    assert halves == [] and info["candidates_in_base"] is None
 
 
 def test_irreducible_fixture_unique_half():
@@ -70,7 +76,7 @@ def test_irreducible_cubic_never_needs_the_tower():
         if P is INFINITY:
             continue
         halves, info = ctx.halve_with_info(P)
-        assert not info["tower_used"]
+        assert info["candidates_in_base"] is not None
         assert len(halves) == 1
 
 
@@ -116,7 +122,6 @@ def test_reference_curve_big_prime():
     assert [(int(Q.x), int(Q.y)) for Q in halves] == [
         (4631223433830370, 13664114850453464)]
     assert info["candidates_in_base"] == 1
-    assert not info["tower_used"]
     assert ctx.curve.double(halves[0]) == ctx.curve._norm(P)
 
 
@@ -172,7 +177,7 @@ def test_budget_guards():
 #
 # In D = 2 and D = 3 the context derives beta (and alpha) as canonical
 # Frobenius images of the root before; the three-root route, sqrt_triple
-# with no conjugates, must give the same triple, tower flag and halves.
+# with no conjugates, must give the same triple, candidates and halves.
 
 ORBIT_PRIMES = (
     5, 7, 11, 13, 10007,
@@ -213,7 +218,6 @@ def _stops_with_no_half(ctx, P, got):
         "factor_degrees": ctx.factor_degrees,
         "extension_degree": ctx.extension_degree,
         "candidates_in_base": None,
-        "tower_used": True,
     })
 
 
@@ -228,9 +232,11 @@ def _orbit_matches_three_roots(ctx, twin, P):
         _stops_with_no_half(twin, P, want)
     else:
         assert [type(r) for r in vars(orbit).values()] == [type(r) for r in vars(three).values()]
-    assert got[1]["tower_used"] == want[1]["tower_used"] == _needs_tower(ctx, P.x)
+    stopped = got[1]["candidates_in_base"] is None
+    assert stopped == (want[1]["candidates_in_base"] is None) == _needs_tower(ctx, P.x)
     assert got == want
-    return got[1]["tower_used"]
+    assert halve_point(ctx, P)[1] == halve_point(twin, P)[1]
+    return stopped
 
 
 @settings(max_examples=60, deadline=None)
@@ -267,7 +273,9 @@ def test_orbit_roots_exhaustive_small_primes(p):
 
 def _halve_with_info_reference(ctx, P):
     """The former ``FpHalvingField.halve_with_info`` loop, its tower flag
-    kept in a local instead of on the context."""
+    kept in a local instead of on the context and each y taken as the
+    ``fp_sqrt`` of rhs(x).  Returns (halves, info), the candidates' x in
+    F_p (None outside it) and whether a root came from the tower."""
     tower_used = False
 
     def sqrt_total(x):
@@ -284,8 +292,8 @@ def _halve_with_info_reference(ctx, P):
     }
     if P is INFINITY:
         pts = [INFINITY] + ctx.two_torsion()
-        info.update(candidates_in_base=None, tower_used=False)
-        return pts, info
+        info.update(candidates_in_base=None)
+        return (pts, info), None, False
     P = ctx.curve._norm(P)
     ctx.curve.require_point(P)
     x0 = ctx.lift(P.x)
@@ -297,27 +305,26 @@ def _halve_with_info_reference(ctx, P):
         if xt is None or xt in seen:
             continue
         seen.add(xt)
-        halves += recover_y(ctx.curve, xt, P, fp_sqrt)
+        y = fp_sqrt(ctx.curve.rhs(xt))
+        if y is not None:
+            halves += recover_y(ctx.curve, xt, P, y)
     halves = list(dict.fromkeys(halves))
-    info.update(
-        candidates_in_base=sum(x is not None for x in in_base),
-        candidate_base_xs=[x for x in in_base if x is not None],
-        tower_used=tower_used,
-    )
-    return halves, info
+    info.update(candidates_in_base=sum(x is not None for x in in_base))
+    return (halves, info), tuple(in_base), tower_used
 
 
 def _matches_reference(ctx, P):
     got = ctx.halve_with_info(P)
-    want = _halve_with_info_reference(ctx, P)
-    if want[1]["tower_used"]:
+    want, base_xs, tower_used = _halve_with_info_reference(ctx, P)
+    if tower_used:
         # the former loop found no half over the tower; the engine stops
         # before it
         assert want[0] == []
         _stops_with_no_half(ctx, P, got)
     else:
         assert got == want
-    return got[1]["tower_used"]
+        assert halve_point(ctx, P)[1] == base_xs
+    return tower_used
 
 
 @pytest.mark.parametrize("p", [5, 7, 11, 13])
@@ -374,14 +381,20 @@ def test_singular_curve_mod_p_is_refused():
 #
 # If Q in E(F_p) and 2Q = P != O, then x0 - e_i equals
 # [((x_Q - e_i)^2 - (e_i - e_j)(e_i - e_k)) / 2y_Q]^2, a square in F_{p^D}.
-# So a point that climbs the tower has no half, and (by the halving
-# criterion, checked here) a point with no half climbs it.
+# So a point that would need a root from the tower has no half, and (by the
+# halving criterion, checked here) a point with no half needs one: the
+# engine forms no candidates exactly for the finite points with no half.
 
 
 def _tower_iff_no_half(ctx, P):
     halves, info = ctx.halve_with_info(P)
-    assert info["tower_used"] == (halves == []), P
-    return info["tower_used"]
+    assert set(info) == {"factor_degrees", "extension_degree", "candidates_in_base"}
+    no_candidates = info["candidates_in_base"] is None
+    if P is INFINITY:
+        assert no_candidates and halves[0] is INFINITY
+        return False
+    assert no_candidates == (halves == []), P
+    return no_candidates
 
 
 @pytest.mark.parametrize("p", [5, 7, 11, 13])
