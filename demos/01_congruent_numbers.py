@@ -48,7 +48,7 @@ print("so P generates new points upward by doubling, but the descent stops there
 
 # the four halves pair up: the chords through each pair meet the curve again
 # at one shared x-coordinate
-xs = meeting_x(D.x, split.root_triple())
+xs = meeting_x(D.x, split.roots)
 Q1, Q2, Q3, Q4 = rational_halves(split, D)
 S = curve.add(Q1, Q2)
 print(f"\nchord geometry: x(Q1 + Q2) = {S.x} and the predicted meeting "

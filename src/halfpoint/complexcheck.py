@@ -82,7 +82,7 @@ class ComplexBackend:
             return split_roots_numeric(curve.a4, curve.a6)
         if not curve.a6:
             return root_triple_a24(complex(curve.a2), complex(curve.a4), cmath.sqrt)
-        raise ValueError("numeric backend expects a2 = 0 or a6 = 0; shift the curve first")
+        raise ValueError("numeric backend expects a2 = 0 or a6 = 0")
 
 
 def _rel_residual(Q, P):

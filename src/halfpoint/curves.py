@@ -4,13 +4,13 @@ with the full chord-tangent group law.
 The coordinate type is anything whose elements support +, -, *, / and
 mixing with small ints: Fraction, FpElem, ExtElem, TowerElem or complex.
 The same law therefore serves the exact backends and the numeric one.
+The module is the group law and nothing more: the roots of the cubic, and
+with them the points of order 2, are found by each halving context
+(``SplitCurveQ``, ``FpHalvingField``, ``ComplexBackend``) in its own field.
 """
 
 from fractions import Fraction
 from typing import NamedTuple
-
-from .exact import rational_roots_cubic
-from .primefield import PrimeField, cubic_roots_fp
 
 
 class SingularCurveError(ValueError):
@@ -38,7 +38,7 @@ class Point(NamedTuple):
 
 
 class Curve:
-    """A nonsingular curve in one of three shapes: a2 = 0, a6 = 0, or general.
+    """A curve with coefficients a2, a4, a6, checked nonsingular by ``validate``.
 
     ``field`` is the constructor of the one field that the coefficients and
     every point's coordinates live in: the ``.field`` of the first
@@ -71,14 +71,6 @@ class Curve:
             return Point(self.field(P.x), self.field(P.y))
         except TypeError:  # Fraction(1j) or float(1j): refused like any foreign value
             raise ValueError(f"point {P} does not lie in the curve's field") from None
-
-    @property
-    def form(self):
-        if not self.a2:
-            return "A46"
-        if not self.a6:
-            return "A24"
-        return "general"
 
     def discriminant(self):
         # discriminant of the monic cubic in x (zero iff a repeated root)
@@ -170,65 +162,3 @@ class Curve:
     def __repr__(self):
         return f"Curve(a2={self.a2!r}, a4={self.a4!r}, a6={self.a6!r})"
 
-
-def _complex_cubic_roots(a2, a4, a6):
-    """The three roots of x^3 + a2*x^2 + a4*x + a6 over C, by Durand-Kerner.
-
-    Each sweep moves every estimate z by -f(z) / ((z - u)(z - v)), u and v
-    the other two estimates; the start is a circle of the Cauchy bound
-    1 + max |a_i|.  Convergence is quadratic at simple roots, so one sweep
-    after the steps fall below 1e-12 reaches rounding level.
-    """
-    c2, c4, c6 = complex(a2), complex(a4), complex(a6)
-    radius = 1 + max(abs(c2), abs(c4), abs(c6))
-    zs = [radius * (0.4 + 0.9j) ** k for k in range(3)]
-    settled = False
-    for _ in range(100):  # bounds the linear convergence at a repeated root
-        moved = 0.0
-        for i in range(3):
-            z, u, v = zs[i], zs[i - 1], zs[i - 2]
-            step = (((z + c2) * z + c4) * z + c6) / ((z - u) * (z - v))
-            zs[i] = z - step
-            moved = max(moved, abs(step) / (1 + abs(z)))
-        if settled:
-            break
-        settled = moved <= 1e-12
-    return zs
-
-
-def _cubic_roots_in_field(curve):
-    # roots of the right-hand cubic in the curve's own coefficient field
-    a2, a4, a6 = curve.a2, curve.a4, curve.a6
-    if isinstance(curve.field, PrimeField):
-        roots, _ = cubic_roots_fp(a2, a4, a6)
-        return sorted(roots, key=int)
-    if not curve.exact:
-        return sorted(_complex_cubic_roots(a2, a4, a6), key=lambda z: (z.real, z.imag))
-    return sorted(rational_roots_cubic(a2, a4, a6))
-
-
-def two_torsion(curve):
-    """All points of order 2: one (e, 0) per root e of the cubic in the field."""
-    return [Point(e, e * 0) for e in _cubic_roots_in_field(curve)]
-
-
-def depress_shift(curve):
-    """Move the curve into a supported shape by the substitution x -> x + s.
-
-    Returns ``(shifted, s)``.  A point (x, y) on the original curve
-    corresponds to (x - s, y) on the shifted one.  Curves already of a
-    supported shape are returned unchanged with s = 0.  When the cubic has
-    a root in the field the smallest root is shifted to 0 (a6 becomes 0);
-    otherwise s = -a2/3 clears the quadratic term instead.
-    """
-    a2, a4, a6 = curve.a2, curve.a4, curve.a6
-    if not a2 or not a6:
-        return curve, a2 * 0
-    roots = _cubic_roots_in_field(curve)
-    if roots:
-        # exactly 0, where rhs(s) of a floating-point root would be ~1e-16
-        s, shifted_a6 = roots[0], 0
-    else:
-        s = -a2 / 3
-        shifted_a6 = curve.rhs(s)
-    return Curve(a2 + 3 * s, 3 * s * s + 2 * a2 * s + a4, shifted_a6), s

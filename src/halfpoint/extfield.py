@@ -1,6 +1,8 @@
 """Extension fields F_{p^D} = F_p[X]/(g) for D in {1, 2, 3}, plus an
-on-demand quadratic tower F_{p^(2D)} = F_{p^D}[Y]/(Y^2 - ns) that adjoins
-square roots of non-residues.
+on-demand quadratic tower F_{p^(2D)} = F_{p^D}[Y]/(Y^2 - ns) where
+``sqrt_in_tower`` puts the square roots of non-residues.  The tower has
+arithmetic, a Frobenius and a projection to F_p; square roots and the
+choice of ns are taken in F_{p^D}.
 
 Multiplication and squaring are straight-line code per degree, with the
 reduction constants of g computed once per field, and powers take a
@@ -12,9 +14,9 @@ so building a field never factors its modulus.  The
 norm N(a), the product of a's conjugates, is an element of F_p and drives
 two things: inversion (a^-1 = conjugate product / N(a), after Itoh-Tsujii)
 and residuosity (a is a square iff N(a) is a square in F_p).  Square roots
-in a quadratic extension reduce to square roots in the field below (Adj
-and Rodriguez-Henriquez, IEEE TC 2014), and the root of the norm they take
-first decides residuosity on the way.
+in F_{p^2} reduce to square roots in F_p (Adj and Rodriguez-Henriquez,
+IEEE TC 2014), and the root of the norm they take first decides
+residuosity on the way.
 
 ExtElem and TowerElem take mixed operands, division and equality from
 ``primefield._FieldElem``; each supplies its coordinates (``_key()``,
@@ -22,7 +24,6 @@ which ``_canon`` compares too), +, -, *, ``inverse`` and ``**``.  The
 tower's ``**`` runs on the same sliding window as F_{p^D}.
 """
 
-import random
 from operator import mul as _imul
 
 from .primefield import (
@@ -34,15 +35,11 @@ from .primefield import (
     _pow_coeffs,
     _psub,
     cubic_roots_fp,  # no longer called here; perfbench/tracing.py wraps this name
+    first_nonresidue,
     fp_sqrt,
     legendre,
     tonelli_shanks,  # no longer called here; perfbench/tracing.py wraps this name
 )
-
-# random draws choose_nonresidue makes after its deterministic scan; each
-# draw is a non-residue with probability 1/2, so running out means the
-# modulus is not prime
-NONRESIDUE_DRAWS = 256
 
 
 class ExtField:
@@ -55,8 +52,7 @@ class ExtField:
     """
 
     __slots__ = (
-        "base", "p", "degree", "modulus", "_tower", "_nonresidue", "_mul", "_sqr", "_one",
-        "_frob_cols",
+        "base", "p", "degree", "modulus", "_tower", "_mul", "_sqr", "_one", "_frob_cols",
     )
 
     def __init__(self, base, modulus):
@@ -72,7 +68,6 @@ class ExtField:
             raise ValueError("extension degree must be 1, 2 or 3")
         self.modulus = tuple(modulus)
         self._tower = None
-        self._nonresidue = None
         self._mul, self._sqr = _mul_fn(self.p, self.modulus)
         self._one = (1,) + (0,) * (self.degree - 1)
         # row i of the Frobenius matrix is X^(i*p); stored by columns
@@ -139,12 +134,6 @@ class ExtField:
     def gen(self):
         """The class of X (for degree 1 this is the constant 0 = X mod X)."""
         return self([0, 1][: self.degree] if self.degree > 1 else [0])
-
-    def nonresidue(self):
-        """First quadratic non-residue found by the deterministic scan."""
-        if self._nonresidue is None:
-            self._nonresidue = choose_nonresidue(self)
-        return self._nonresidue
 
     def quadratic_tower(self):
         """The quadratic extension of this field, built once and cached."""
@@ -250,15 +239,19 @@ class ExtElem(_FieldElem):
 
 
 class TowerField:
-    """F_{p^D}[Y]/(Y^2 - ns) over an ExtField, ns a quadratic non-residue."""
+    """F_{p^D}[Y]/(Y^2 - ns) over an ExtField, ns = ``choose_nonresidue(ext)``.
 
-    __slots__ = ("ext", "p", "ns", "_nonresidue", "_twist")
+    The tower is where ``sqrt_in_tower`` puts the roots of non-residues; it
+    has the arithmetic, Frobenius and projection to F_p of its elements,
+    but no square root or non-residue of its own.
+    """
 
-    def __init__(self, ext, ns=None):
+    __slots__ = ("ext", "p", "ns", "_twist")
+
+    def __init__(self, ext):
         self.ext = ext
         self.p = ext.p
-        self.ns = ext.nonresidue() if ns is None else ext(ns)
-        self._nonresidue = None
+        self.ns = choose_nonresidue(ext)
         self._twist = None  # ns^((p-1)/2), filled by the first tower frobenius
 
     @property
@@ -283,11 +276,6 @@ class TowerField:
 
     def gen(self):
         return TowerElem(self, self.ext.zero(), self.ext.one())
-
-    def nonresidue(self):
-        if self._nonresidue is None:
-            self._nonresidue = choose_nonresidue(self)
-        return self._nonresidue
 
     def __eq__(self, other):
         return (
@@ -420,9 +408,6 @@ def project_to_fp(a):
 
 def _norm(a):
     """N(a), the product of a's conjugates over F_p, as an FpElem."""
-    if isinstance(a, TowerElem):
-        # N_{F_{p^2D}/F_p}(u + vY) = N_{F_{p^D}/F_p}(u^2 - ns v^2)
-        a = a.u * a.u - a.v * a.v * a.field.ns
     field = a.field
     return field.base(field._conj_norm(a.coeffs)[1])
 
@@ -433,90 +418,64 @@ def _is_square(a):
 
 
 def choose_nonresidue(field):
-    """First quadratic non-residue of the field under a deterministic scan.
+    """The quadratic non-residue of F_{p^D} that its tower adjoins a root of.
 
-    Constants 2, 3, ... are tried first, then low-degree polynomials; a
-    random search of at most NONRESIDUE_DRAWS draws from
-    ``random.Random(0)`` takes over only if the capped scan runs dry, so
-    every call on one field returns the same element.  Each candidate
-    costs one Legendre symbol of its norm.  In even degree (D = 2 and
-    every tower) the norm of a constant c is c^degree, a square, so the
-    constants are skipped there: the scan still returns the element the
-    full scan would.
+    For odd D, N(c) = c^D for a constant c, so F_p's least non-residue
+    (``first_nonresidue``) is one of F_{p^D} as well.  For D = 2 every
+    constant is a square, and X + c is tried for c = 0, 1, ... below
+    min(p, 258), each at the cost of one Legendre symbol of its norm;
+    about half of them are non-residues, so running out means the modulus
+    is not prime, and ArithmeticError is raised.
     """
-    tower = isinstance(field, TowerField)
-    degree = 2 * field.ext.degree if tower else field.degree
-    if degree % 2:
-        for c in range(2, min(field.p, 258)):
-            a = field(c)
-            if not _is_square(a):
-                return a
-    # linear (and for towers Y-linear) candidates with small coefficients
-    if tower:
-        small = (field((c, 1)) for c in range(0, min(field.p, 258)))
-    elif field.degree >= 2:
-        small = (field([c, 1]) for c in range(0, min(field.p, 258)))
-    else:
-        small = ()
-    for a in small:
+    if field.degree % 2:
+        return field(first_nonresidue(field.base))
+    for c in range(min(field.p, 258)):
+        a = field([c, 1])
         if not _is_square(a):
             return a
-    rng = random.Random(0)
-    for _ in range(NONRESIDUE_DRAWS):
-        if tower:
-            a = field((rng.randrange(field.p), rng.randrange(field.p)))
-        else:
-            a = field([rng.randrange(field.p) for _ in range(field.degree)])
-        if not _is_square(a):
-            return a
-    raise ArithmeticError(
-        f"no quadratic non-residue in {NONRESIDUE_DRAWS} random draws; is the modulus prime?"
-    )
+    raise ArithmeticError("no quadratic non-residue X + c with c < 258; is the modulus prime?")
 
 
-def _quadratic_root(u, v, ns, sqrt, norm_root=None):
-    """(x, y) with (x + y*t)^2 = u + v*t, where t^2 = ns, or None when
-    u + v*t is not a square of the quadratic extension.
+def _quadratic_root(u, v, ns, norm_root=None):
+    """(x, y) in F_p with (x + y*t)^2 = u + v*t, where t^2 = ns, or None
+    when u + v*t is not a square of F_p(t).
 
-    ns is a non-residue of the field below, whose square-root function
-    ``sqrt`` returns None on non-squares.  Costs two or three such roots
-    and one inverse: with n = sqrt(u^2 - ns v^2), exactly one of (u +- n)/2
-    is x^2, and y = v / 2x.  u^2 - ns v^2 is the norm to the field below,
-    so when it has no root u + v*t has none either.  ``norm_root``, when
+    u, v and the non-residue ns are FpElems.  Costs two or three
+    ``fp_sqrt`` and one inverse: with n = sqrt(u^2 - ns v^2), exactly one
+    of (u +- n)/2 is x^2, and y = v / 2x.  u^2 - ns v^2 is the norm to
+    F_p, so when it has no root u + v*t has none either.  ``norm_root``, when
     given, is taken as n; if neither (u +- n)/2 is a square it is not a
     root of the norm, and ArithmeticError is raised.
     """
     if not v:
-        x = sqrt(u)
+        x = fp_sqrt(u)
         if x is not None:
             return x, v
-        return v, sqrt(u / ns)
-    n = sqrt(u * u - v * v * ns) if norm_root is None else norm_root
+        return v, fp_sqrt(u / ns)
+    n = fp_sqrt(u * u - v * v * ns) if norm_root is None else norm_root
     if n is None:
         return None
-    x = sqrt((u + n) / 2)
+    x = fp_sqrt((u + n) / 2)
     if x is None:
-        x = sqrt((u - n) / 2)
+        x = fp_sqrt((u - n) / 2)
         if x is None:
             raise ArithmeticError("the given root of the norm does not square to it")
     return x, v / (2 * x)
 
 
 def ext_sqrt(a, *, _norm_root=None):
-    """Canonical square root in the element's own field, or None.
+    """Canonical square root of a in F_{p^D}, or None.
 
-    Works for ExtElem and TowerElem alike.  There is no separate
-    residuosity test: a is a square iff N(a) is a square in F_p, and every
-    route below takes a square root of a norm in the field below first,
-    so that root's absence is the answer.  No route runs Tonelli-Shanks
-    above F_p:
+    There is no separate residuosity test: a is a square iff N(a) is a
+    square in F_p, and every route below takes a square root of a norm in
+    F_p first, so that root's absence is the answer.  No route runs
+    Tonelli-Shanks above F_p:
 
     * D = 1 is F_p itself (``fp_sqrt``).
-    * Quadratic extensions take their root from the field below, with two
-      or three roots and one inverse there, and give None when the norm
-      u^2 - ns v^2 has no root (``_quadratic_root``): the tower u + vY
-      over F_{p^D}, and F_{p^2} written as F_p(t), where t = 2X + b squares
-      to the discriminant b^2 - 4c of X^2 + bX + c.
+    * D = 2 is F_p(t), where t = 2X + b squares to the discriminant
+      b^2 - 4c of X^2 + bX + c.  Its root comes from F_p, with two or
+      three roots and one inverse there, and is None when the norm
+      u^2 - disc v^2 has no root (``_quadratic_root``).
     * D = 3 takes sqrt(N(a)) in F_p, None if it has none, and divides it by
       (a^((p+1)/2))^p.
 
@@ -532,12 +491,7 @@ def ext_sqrt(a, *, _norm_root=None):
     if not a:
         return a
     field = a.field
-    if isinstance(a, TowerElem):
-        root = _quadratic_root(a.u, a.v, field.ns, ext_sqrt)
-        if root is None:
-            return None
-        r = TowerElem(field, *root)
-    elif field.degree == 1:
+    if field.degree == 1:
         n = fp_sqrt(field.base(a.coeffs[0])) if _norm_root is None else _norm_root
         if n is None:
             return None
@@ -545,7 +499,7 @@ def ext_sqrt(a, *, _norm_root=None):
     elif field.degree == 2:
         fp, (c, b, _) = field.base, field.modulus
         v = fp(a.coeffs[1]) / 2
-        root = _quadratic_root(fp(a.coeffs[0]) - v * b, v, fp(b * b - 4 * c), fp_sqrt, _norm_root)
+        root = _quadratic_root(fp(a.coeffs[0]) - v * b, v, fp(b * b - 4 * c), _norm_root)
         if root is None:
             return None
         x, y = root

@@ -22,18 +22,14 @@ from .curves import INFINITY, Point
 class RootTriple:
     """Roots of the 2-division cubic, plus the constant k = -(a4 + 3*e0^2).
 
-    e0 is the distinguished root (the curve's order-2 x-coordinate that the
-    candidate formulas are anchored to); d is just an alias for it.
+    e0 is the distinguished root: the curve's order-2 x-coordinate that the
+    candidate formulas are anchored to.
     """
 
     e0: object
     e1: object
     e2: object
     k: object
-
-    @property
-    def d(self):
-        return self.e0
 
     def differences(self, x0):
         return x0 - self.e0, x0 - self.e1, x0 - self.e2
@@ -146,19 +142,19 @@ def candidate_xs_products(x0, roots, sqrt_fn):
     """The same four candidates via square roots of products of differences.
 
     Only valid when a2 = 0 (so e0 + e1 + e2 = 0): then
-    t = x0^2 + d*x0 - 2d^2 - k equals (x0-e1)(x0-e2), w = sqrt(t) is
+    t = x0^2 + e0*x0 - 2e0^2 - k equals (x0-e1)(x0-e2), w = sqrt(t) is
     alpha*beta up to sign, and w1, w2 recover gamma*(alpha +/- beta).
     Returns (candidates, ProductSqrtData) or None when a root is missing.
     """
-    d, k = roots.d, roots.k
-    t = x0 * x0 + d * x0 - 2 * d * d - k
+    e0, k = roots.e0, roots.k
+    t = x0 * x0 + e0 * x0 - 2 * e0 * e0 - k
     w = sqrt_fn(t)
     if w is None:
         return None
-    w1 = sqrt_fn((x0 - d) * (d + 2 * w + 2 * x0))
+    w1 = sqrt_fn((x0 - e0) * (e0 + 2 * w + 2 * x0))
     if w1 is None:
         return None
-    w2 = sqrt_fn((x0 - d) * (d - 2 * w + 2 * x0))
+    w2 = sqrt_fn((x0 - e0) * (e0 - 2 * w + 2 * x0))
     if w2 is None:
         return None
     cands = (x0 + w + w1, x0 + w - w1, x0 - w + w2, x0 - w - w2)

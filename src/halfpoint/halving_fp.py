@@ -110,15 +110,15 @@ class FpHalvingField:
         With ``sqrt_triple``'s y0 and the roots taken before x's, n = y0
         over their product squares to x times the differences whose roots
         the conjugate maps take after x's.  With this context's own maps
-        those are x's conjugates, so an n in F_p is the root of N(x) that
-        ``ext_sqrt`` would take; one outside F_p means N(x) has no root
-        there, and ``ext_sqrt`` finds that out again without y0.
+        those are x's conjugates, so n squares to N(x) and is the root of
+        N(x) that ``ext_sqrt`` would take.  n lies outside F_p only for
+        D = 2, when gamma does: then x0 - e0 is a non-residue in F_p, so is
+        N(x) = y0^2 / (x0 - e0), and x has no root in F_{p^2}.
         """
-        if y0 is not None:
-            n = project_to_fp(y0 / reduce(mul, before) if before else y0)
-            if n is not None:
-                return ext_sqrt(x, _norm_root=n)
-        return ext_sqrt(x)
+        if y0 is None:
+            return ext_sqrt(x)
+        n = project_to_fp(y0 / reduce(mul, before) if before else y0)
+        return None if n is None else ext_sqrt(x, _norm_root=n)
 
     def two_torsion(self):
         return [Point(r, self.fp(0)) for r in self.fp_roots]
@@ -142,11 +142,6 @@ class FpHalvingField:
 
     def halve(self, P):
         return self.halve_with_info(P)[0]
-
-
-def halve_over_fp(p, curve, P):
-    """All points Q in E(F_p) with 2Q = P, each verified by doubling."""
-    return FpHalvingField(p, curve).halve(P)
 
 
 def enumerate_points(p, curve):

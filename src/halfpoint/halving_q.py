@@ -50,9 +50,6 @@ class SplitCurveQ:
             raise ValueError("the right-hand cubic does not split over the rationals")
         return cls(*roots)
 
-    def root_triple(self):
-        return self.roots
-
     # -- backend protocol for the halving engine ------------------------------
 
     @staticmethod

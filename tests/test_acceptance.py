@@ -17,7 +17,7 @@ from halfpoint.complexcheck import (
     resolvent_r,
     verify_halving_numeric,
 )
-from halfpoint.curves import INFINITY, Curve, Point, two_torsion
+from halfpoint.curves import INFINITY, Curve, Point
 from halfpoint.exact import rational_sqrt
 from halfpoint.extfield import TowerElem, ext_sqrt, sqrt_in_tower
 from halfpoint.halving import (
@@ -32,7 +32,6 @@ from halfpoint.halving_fp import (
     brute_force_halves,
     enumerate_points,
     group_order_bf,
-    halve_over_fp,
     halve_via_order,
 )
 from halfpoint.halving_q import SplitCurveQ, is_halvable_q, rational_halves
@@ -150,7 +149,7 @@ def test_criterion_3_halving_matches_exhaustive_search(criterion):
     for inst in matrix:
         p, curve = inst["p"], inst["curve"]
         for P in inst["points"]:
-            got = halve_over_fp(p, curve, P)
+            got = FpHalvingField(p, curve).halve(P)
             want = brute_force_halves(p, curve, P)
             if set(got) != set(want) or set(inst["halves"][P]) != set(want):
                 mismatches += 1
@@ -214,7 +213,7 @@ def test_criterion_5_uniqueness_iff_odd_order(criterion):
     curves = bad = 0
     for inst in _fp_matrix():
         order = group_order_bf(inst["p"], inst["curve"])
-        torsion = two_torsion(inst["curve"])
+        torsion = brute_force_halves(inst["p"], inst["curve"], INFINITY)[1:]
         halves = inst["halves"].values()
         unique = all(len(h) <= 1 for h in halves)
         everyone = all(len(h) == 1 for h in halves)
@@ -235,7 +234,7 @@ def test_criterion_6_meeting_point_and_product_route(criterion):
     split = SplitCurveQ(0, 6, -6)
     P = Point(Fraction(25, 4), Fraction(-35, 8))
     halves = rational_halves(split, P)
-    triple = split.root_triple()
+    triple = split.roots
     xs = meeting_x(P.x, triple)
     ok &= xs == triple.e0 + triple.k / (triple.e0 - P.x) == Fraction(-144, 25)
     sq = sqrt_triple(P.x, triple, rational_sqrt)

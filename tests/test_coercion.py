@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from halfpoint.curves import Curve, Point
-from halfpoint.extfield import ExtElem, ExtField, TowerElem, TowerField
+from halfpoint.extfield import ExtElem, ExtField, TowerElem
 from halfpoint.halving_fp import FpHalvingField, enumerate_points
 from halfpoint.primefield import PrimeField
 
@@ -215,12 +215,12 @@ def test_mixed_operand_values_by_hand():
 
 F11 = PrimeField(11)
 # elements of another modulus or another field, and the sample kinds each
-# one cannot meet (a tower over K2 with another non-residue still takes K2)
+# one cannot meet (the tower over another F_49 does not take K2 either)
 FOREIGN = [
     ("F11", F11(3), {"fp", "ext2", "ext3", "tower2", "tower3"}),
     ("F121", ExtField(F11, [1, 0, 1])([1, 1]), {"fp", "ext2", "ext3", "tower2", "tower3"}),
     ("other-F49", ExtField(F7, [3, 1, 1])([1, 1]), {"ext2", "ext3", "tower2", "tower3"}),
-    ("other-tower", TowerField(K2, T2.ns * 4)((1, 1)), {"ext3", "tower2", "tower3"}),
+    ("other-tower", ExtField(F7, [3, 1, 1]).quadratic_tower()((1, 1)), {"ext2", "ext3", "tower2", "tower3"}),
 ]
 FOREIGN_CASES = [(name, f, k) for name, f, kinds in FOREIGN for k in sorted(kinds)]
 

@@ -1,20 +1,21 @@
-import random
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from halfpoint.complexcheck import ComplexBackend
+from halfpoint import curves
 from halfpoint.curves import (
     INFINITY,
     Curve,
     Point,
     PointNotOnCurveError,
     SingularCurveError,
-    depress_shift,
-    two_torsion,
 )
+from halfpoint.halving_fp import FpHalvingField
+from halfpoint.halving_q import SplitCurveQ
 from halfpoint.primefield import PrimeField
 
 E36 = Curve(0, -36, 0)  # y^2 = x^3 - 36x, fully split over Q
@@ -26,12 +27,6 @@ def test_validate_rejects_singular():
     with pytest.raises(SingularCurveError):
         Curve(0, -3, 2).validate()  # (x-1)^2 (x+2)
     E36.validate()
-
-
-def test_form_classification():
-    assert E36.form == "A46"
-    assert Curve(3, -2, 0).form == "A24"
-    assert Curve(1, 1, 3).form == "general"
 
 
 @given(st.integers(-30, 30), st.integers(-30, 30), st.integers(-30, 30))
@@ -129,41 +124,23 @@ def test_scalar_mul_matches_repeated_addition():
 
 
 def test_two_torsion_over_q():
-    assert two_torsion(E36) == [Point(-6, 0), Point(0, 0), Point(6, 0)]
-    assert two_torsion(Curve(0, 17, 71)) == []
+    # the order-2 points come from the halving context; the group law
+    # sends each to infinity
+    split = SplitCurveQ.from_coefficients(0, -36, 0)
+    assert split.two_torsion() == [Point(-6, 0), Point(0, 0), Point(6, 0)]
+    for T in split.two_torsion():
+        assert E36.double(T) is INFINITY
+    with pytest.raises(ValueError):
+        SplitCurveQ.from_coefficients(0, 17, 71)  # x^3 + 17x + 71 has no rational root
 
 
 def test_two_torsion_mod_p():
     fp = PrimeField(11)
-    pts = two_torsion(Curve(fp(0), fp(1), fp(0)))  # x^3 + x = x(x^2 + 1)
+    curve = Curve(fp(0), fp(1), fp(0))  # x^3 + x = x(x^2 + 1)
+    pts = FpHalvingField(11, curve).two_torsion()
     assert pts == [Point(fp(0), fp(0))]
     for T in pts:
-        assert Curve(fp(0), fp(1), fp(0)).double(T) is INFINITY
-
-
-def test_depress_shift_moves_root_to_zero():
-    curve = Curve(-6, 11, -6)  # roots 1, 2, 3
-    shifted, s = depress_shift(curve)
-    assert s == 1
-    assert (shifted.a2, shifted.a4, shifted.a6) == (-3, 2, 0)
-    # x -> x + s as a polynomial identity, checked at more points than the degree
-    for x in map(Fraction, (-2, 0, 1, 7, Fraction(5, 3))):
-        assert curve.rhs(x) == shifted.rhs(x - s)
-
-
-def test_depress_shift_without_rational_root():
-    curve = Curve(1, 0, 2)  # x^3 + x^2 + 2 has no rational roots
-    shifted, s = depress_shift(curve)
-    assert s == Fraction(-1, 3)
-    assert shifted.a2 == 0
-    for x in map(Fraction, (-1, 0, 2, 5)):
-        assert curve.rhs(x) == shifted.rhs(x - s)
-
-
-def test_depress_shift_keeps_supported_forms():
-    for curve in (E36, Curve(3, -2, 0)):
-        shifted, s = depress_shift(curve)
-        assert s == 0 and shifted == curve
+        assert curve.double(T) is INFINITY
 
 
 def test_complex_contains_is_tolerant():
@@ -173,68 +150,10 @@ def test_complex_contains_is_tolerant():
     assert not curve.contains(Point(6.25, -4.2))
 
 
-def _cubic_through(roots):
-    # coefficients of (x - r0)(x - r1)(x - r2), complex unless the roots
-    # are real or a conjugate pair with a real third
-    r0, r1, r2 = roots
-    coeffs = (-(r0 + r1 + r2), r0 * r1 + r1 * r2 + r2 * r0, -(r0 * r1 * r2))
-    if all(abs(c.imag) == 0 for c in map(complex, coeffs)):
-        coeffs = tuple(complex(c).real for c in coeffs)
-    return Curve(*coeffs)
-
-
-def _assert_same_roots(got, want, rel=1e-12):
-    # multisets: sorting by (real, imag) puts tied real parts in either order
-    scale = max(1.0, *(abs(w) for w in want))
-    left = list(got)
-    assert len(left) == len(want)
-    for w in want:
-        nearest = min(left, key=lambda g: abs(g - w))
-        assert abs(nearest - w) <= rel * scale, (got, want)
-        left.remove(nearest)
-
-
-def test_two_torsion_over_c_recovers_known_roots():
-    cases = [
-        (2.0, 1 + 3j, 1 - 3j),  # conjugate pair: real coefficients
-        (-6.0, 0.0, 6.0),
-        (1 + 2j, -0.5 + 1j, 3 - 4j),
-        (1e3, -2e3j, 5.0),
-        (0.25j, -0.25j, 0.5),  # conjugate pair, tied real parts
-    ]
-    rng = random.Random(11)
-    for _ in range(200):
-        r0 = complex(rng.uniform(-20, 20), rng.uniform(-20, 20))
-        r1 = complex(rng.uniform(-20, 20), rng.uniform(0.5, 20))
-        cases.append((r0, r1, r1.conjugate()) if rng.random() < 0.5 else
-                     (r0, r1, complex(rng.uniform(-20, 20), rng.uniform(-20, 20))))
-    for roots in cases:
-        curve = _cubic_through(roots)
-        pts = two_torsion(curve)
-        assert all(T.y == 0 for T in pts)
-        _assert_same_roots([T.x for T in pts], roots)
-        # the promised order: ascending real part, then imaginary part
-        xs = [T.x for T in pts]
-        assert all(a.real <= b.real for a, b in zip(xs, xs[1:]))
-
-
-def test_depress_shift_general_complex_curve():
-    curve = Curve(1 + 2j, 3 - 1j, 2 + 0.5j)
-    shifted, s = depress_shift(curve)
-    assert abs(curve.rhs(s)) <= 1e-12 * (1 + abs(s) ** 3)
-    assert abs(shifted.a6) <= 1e-12 * (1 + abs(s) ** 3)
-    assert abs(shifted.a2 - (curve.a2 + 3 * s)) <= 1e-12 * (1 + abs(s))
-    for x in (0, 1.5, -2 + 1j, 3j, 4 - 4j):
-        assert abs(curve.rhs(x) - shifted.rhs(x - s)) <= 1e-12 * (1 + abs(x) ** 3 + abs(s) ** 3)
-
-
-@pytest.mark.parametrize("curve", [Curve(1 + 2j, 3 - 1j, 2 + 0.5j), Curve(-6.0, 11.0, -6.0)])
-def test_depress_shift_over_c_reaches_a24(curve):
-    # the shift s is a root, so the shifted a6 is exactly zero
-    shifted, s = depress_shift(curve)
-    assert shifted.a6 == 0 and shifted.form == "A24"
-    roots = ComplexBackend.root_triple(shifted)
-    for e in (roots.e0, roots.e1, roots.e2):
-        x = e + s
-        scale = abs(x) ** 3 + abs(curve.a2 * x * x) + abs(curve.a4 * x) + abs(curve.a6)
-        assert abs(curve.rhs(x)) <= 1e-12 * scale
+def test_curves_imports_no_halfpoint_module():
+    # the group law finds no roots, so it needs no other module of the package
+    for node in ast.walk(ast.parse(Path(curves.__file__).read_text())):
+        if isinstance(node, ast.ImportFrom):
+            assert not node.level and not node.module.startswith("halfpoint"), ast.unparse(node)
+        elif isinstance(node, ast.Import):
+            assert not any(a.name.startswith("halfpoint") for a in node.names), ast.unparse(node)

@@ -6,11 +6,9 @@ from hypothesis import strategies as st
 
 from halfpoint import extfield
 from halfpoint.extfield import (
-    NONRESIDUE_DRAWS,
     ExtElem,
     ExtField,
     TowerElem,
-    TowerField,
     choose_nonresidue,
     ext_sqrt,
     frobenius,
@@ -106,7 +104,7 @@ def test_project_to_fp():
 
 
 def test_choose_nonresidue_is_a_nonresidue():
-    for field in (K2, K3, K2.quadratic_tower()):
+    for field in (K2, K3):
         ns = choose_nonresidue(field)
         q = field.order
         assert ns ** ((q - 1) // 2) != field.one()
@@ -210,18 +208,12 @@ def _euler_choose_nonresidue(field):
     for c in range(2, min(field.p, 258)):
         if is_nonresidue(field(c)):
             return field(c)
-    if isinstance(field, TowerField):
-        small = [field((c, 1)) for c in range(0, min(field.p, 258))]
-    elif field.degree >= 2:
-        small = [field([c, 1]) for c in range(0, min(field.p, 258))]
-    else:
-        small = []
+    small = [field([c, 1]) for c in range(0, min(field.p, 258))] if field.degree >= 2 else []
     return next(a for a in small if is_nonresidue(a))
 
 
 def _canonical(r):
-    key = (lambda x: x.u.coeffs + x.v.coeffs) if isinstance(r, TowerElem) else (lambda x: x.coeffs)
-    return min(r, -r, key=key)
+    return min(r, -r, key=lambda x: x.coeffs)
 
 
 def _first_irreducible(p, degree):
@@ -281,11 +273,10 @@ def test_frobenius_matrix_matches_pth_power(field, data):
 @few
 @given(data=st.data())
 def test_norm_gate_matches_euler_criterion(field, data):
-    for a in (_draw(data, field), _draw_tower(data, field)):
-        q = a.field.order
-        euler = a ** ((q - 1) // 2) if isinstance(a, TowerElem) else _ref_pow(a, (q - 1) // 2)
-        assert extfield._is_square(a) == (not a or euler == a.field.one())
-        assert (ext_sqrt(a) is not None) == extfield._is_square(a)
+    a = _draw(data, field)
+    euler = _ref_pow(a, (field.order - 1) // 2)
+    assert extfield._is_square(a) == (not a or euler == field.one())
+    assert (ext_sqrt(a) is not None) == extfield._is_square(a)
 
 
 @differential
@@ -305,24 +296,23 @@ def test_norm_inverse_matches_fermat(field, data):
 @given(data=st.data())
 def test_roots_match_tonelli_shanks(field, data):
     # every branch of ext_sqrt against Tonelli-Shanks in the element's own field
-    for x in (_draw(data, field), _draw_tower(data, field)):
-        a = x * x
-        r = ext_sqrt(a)
-        if not a:
-            assert r == a
-            continue
-        ref = tonelli_shanks(a, a.field.order, a.field.nonresidue())
-        assert r == _canonical(ref)
+    a = _draw(data, field) ** 2
+    r = ext_sqrt(a)
+    if not a:
+        assert r == a
+    else:
+        assert r == _canonical(tonelli_shanks(a, field.order, choose_nonresidue(field)))
 
 
 def test_choose_nonresidue_matches_the_euler_scan():
     wide = _first_irreducible(2**127 - 1, 2)
-    for field in (K2, K3, K2.quadratic_tower(), K3.quadratic_tower(), wide, ExtField(2**127 - 1, [1, 0, 1])):
+    for field in (K2, K3, wide, ExtField(2**127 - 1, [1, 0, 1]), *DIFF_FIELDS):
         assert choose_nonresidue(field) == _euler_choose_nonresidue(field)
 
 
 def test_choose_nonresidue_gives_up_after_capped_draws(monkeypatch):
-    towers = [K2.quadratic_tower(), K3.quadratic_tower()]
+    # D = 2 scans X + c for c < min(p, 258) and then gives up; odd D takes
+    # F_p's non-residue and tests no element of F_{p^D}
     calls = []
 
     def always_square(a):
@@ -330,15 +320,17 @@ def test_choose_nonresidue_gives_up_after_capped_draws(monkeypatch):
         return True
 
     monkeypatch.setattr(extfield, "_is_square", always_square)
-    for field in [K2, K3] + towers:
+    wide = _first_irreducible(2**127 - 1, 2)
+    for field in (K2, wide):
         calls.clear()
         with pytest.raises(ArithmeticError, match="non-residue"):
             choose_nonresidue(field)
-        assert len(calls) <= 2 * 258 + NONRESIDUE_DRAWS
+        assert len(calls) == min(field.p, 258)
+    calls.clear()
+    assert choose_nonresidue(K3) == K3(3) and calls == []
 
 
-# D = 2 and D = 3 over 5, 13 (both 5 mod 8), 10007 (3 mod 4) and the benchmark primes,
-# with their towers
+# D = 2 and D = 3 over 5, 13 (both 5 mod 8), 10007 (3 mod 4) and the benchmark primes
 GATE_PRIMES = (5, 13, 10007, 17000000000000071, 2**64 - 2**32 + 1, 2**127 - 1, 2**255 - 19)
 GATE_FIELDS = [_first_irreducible(p, d) for p in GATE_PRIMES for d in (2, 3)]
 GATE_IDS = [f"{f.p.bit_length()}bit.d{f.degree}" for f in GATE_FIELDS]
@@ -350,15 +342,15 @@ GATE_IDS = [f"{f.p.bit_length()}bit.d{f.degree}" for f in GATE_FIELDS]
 def test_ext_sqrt_is_none_exactly_on_non_squares(field, data):
     # ext_sqrt has no residuosity gate of its own: its None must still match
     # the norm criterion, on random elements, squares and non-squares
-    for x in (_draw(data, field), _draw_tower(data, field)):
-        ns = x.field.nonresidue()
-        for a in (x, x * x, x * x * ns):
-            r = ext_sqrt(a)
-            assert (r is None) == (not extfield._is_square(a))
-            if r is not None:
-                assert r * r == a and r == _canonical(r)
-        if x:
-            assert ext_sqrt(x * x * ns) is None
+    x = _draw(data, field)
+    ns = choose_nonresidue(field)
+    for a in (x, x * x, x * x * ns):
+        r = ext_sqrt(a)
+        assert (r is None) == (not extfield._is_square(a))
+        if r is not None:
+            assert r * r == a and r == _canonical(r)
+    if x:
+        assert ext_sqrt(x * x * ns) is None
 
 
 def _residue_first_sqrt_in_tower(a):
@@ -377,7 +369,7 @@ def test_sqrt_in_tower_order_keeps_its_roots(field, data):
     # the root of a/ns is tried first now; residues, non-residues and zero
     # get the same root, representation included
     x = _draw(data, field)
-    ns = field.nonresidue()
+    ns = choose_nonresidue(field)
     for a in (field.zero(), x, x * x, x * x * ns):
         r = sqrt_in_tower(a)
         ref = _residue_first_sqrt_in_tower(a)

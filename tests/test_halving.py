@@ -27,7 +27,6 @@ X0 = Fraction(25, 4)
 def test_root_triple_from_roots_vieta():
     assert (ROOTS36.e0, ROOTS36.e1, ROOTS36.e2) == (0, 6, -6)
     assert ROOTS36.k == 36  # -(a4 + 3 e0^2) with a4 = -36
-    assert ROOTS36.d == ROOTS36.e0
     assert ROOTS36.differences(X0) == (Fraction(25, 4), Fraction(1, 4), Fraction(49, 4))
 
 

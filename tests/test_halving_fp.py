@@ -23,10 +23,9 @@ from halfpoint.halving_fp import (
     brute_force_halves,
     enumerate_points,
     group_order_bf,
-    halve_over_fp,
     halve_via_order,
 )
-from halfpoint.primefield import PrimeField, fp_sqrt
+from halfpoint.primefield import PrimeField, fp_sqrt, legendre
 
 
 def test_coerce_rejects_bad_curves():
@@ -199,6 +198,8 @@ def _orbit_contexts(p, degree):
         if ctx.extension_degree == degree:
             twin = FpHalvingField(p, Curve(a2, a4, a6))
             twin._conjugates = (None, None)
+            # y0 over gamma * alpha is beta itself, not a root of a norm
+            twin.sqrt_total = lambda x, *_: ext_sqrt(x)
             return ctx, twin
 
 
@@ -356,6 +357,31 @@ def test_halve_with_info_matches_former_loop_at_benchmark_primes(p):
     assert climbed
 
 
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def test_hint_outside_fp_ends_the_halving(p, monkeypatch):
+    # D = 2: when x0 - e0 is a non-residue in F_p, gamma and y0 / gamma lie
+    # outside F_p, N(x0 - e1) = y0^2 / (x0 - e0) is a non-residue, and P has
+    # no half; gamma's root is the only one taken
+    ctx, _ = _orbit_contexts(p, 2)
+    e0 = project_to_fp(ctx.roots.e0)
+    calls = []
+
+    def spy(x, **kwargs):
+        calls.append(x)
+        return ext_sqrt(x, **kwargs)
+
+    monkeypatch.setattr(halving_fp, "ext_sqrt", spy)
+    checked = 0
+    for P in enumerate_points(p, ctx.curve):
+        if P is INFINITY or not P.y or legendre(P.x - e0) != -1:
+            continue
+        calls.clear()
+        assert ctx.halve(P) == [] == brute_force_halves(p, ctx.curve, P)
+        assert len(calls) == 1, P
+        checked += 1
+    assert checked
+
+
 def test_halving_leaves_the_context_unchanged():
     # D = 1 over F_11: (8, 4) halves without the tower, (1, 2) climbs it
     ctx = FpHalvingField(11, Curve(0, 1, 2))
@@ -374,7 +400,7 @@ def test_singular_curve_mod_p_is_refused():
     with pytest.raises(SingularCurveError):
         FpHalvingField(11, curve)
     with pytest.raises(SingularCurveError):
-        halve_over_fp(11, curve, Point(2, 2))
+        FpHalvingField(11, curve).halve(Point(2, 2))
 
 
 # -- the quadratic tower never yields an F_p half --------------------------------
